@@ -1,8 +1,9 @@
 // Distance-kernel throughput: per-pair legacy kernels (Representation
 // arguments, allocating UnionEndpoints + PartitionAt vectors per call)
-// against the columnar view/batched kernels (distance/kernels.h, reusing
-// one merged-endpoint scratch across the batch) for Dist_PAR and the
-// Dist_LB filter, across representation budgets M in {12, 24, 48}.
+// against the columnar view/batched kernels (distance/kernels.h: a single
+// allocation-free merge pass for Dist_PAR, contiguous column walks in the
+// batch) for Dist_PAR and the Dist_LB filter, across representation
+// budgets M in {12, 24, 48}.
 //
 // This is the benchmark behind the columnar refactor's performance claim:
 // the batched kernel must clear >= 1.5x the per-pair baseline at M = 24.
@@ -31,7 +32,7 @@ namespace {
 
 struct KernelResult {
   double per_pair_mps = 0.0;  // million pairs/sec, legacy per-pair kernel
-  double view_mps = 0.0;      // view kernel, per-pair with shared scratch
+  double view_mps = 0.0;      // view kernel, per pair
   double batched_mps = 0.0;   // batched kernel over the store
 };
 
@@ -39,7 +40,7 @@ struct KernelResult {
 // returning million-evals/sec (body must evaluate `evals_per_round` pairs).
 template <typename Body>
 double MeasureMps(size_t evals_per_round, double min_seconds, Body body) {
-  // Warm-up round (first call grows the scratch buffers).
+  // Warm-up round (caches, and the SAX breakpoint table in the scratch).
   body();
   WallTimer timer;
   size_t rounds = 0;
@@ -106,11 +107,11 @@ int Run(int argc, char** argv) {
       par.per_pair_mps = MeasureMps(count, kMinSeconds, [&] {
         for (size_t i = 0; i < count; ++i) sink += DistPar(query, reps[i]);
       });
-      DistanceScratch scratch;
       par.view_mps = MeasureMps(count, kMinSeconds, [&] {
         for (size_t i = 0; i < count; ++i)
-          sink += DistParView(query_view, store.view(i), &scratch);
+          sink += DistParView(query_view, store.view(i));
       });
+      DistanceScratch scratch;
       std::vector<double> out(count);
       par.batched_mps = MeasureMps(count, kMinSeconds, [&] {
         LowerBoundDistanceBatch(query_view, store, nullptr, count, out.data(),

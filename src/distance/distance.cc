@@ -7,15 +7,6 @@
 
 namespace sapla {
 
-double DistSSquared(const Line& q, const Line& c, size_t l) {
-  const double ld = static_cast<double>(l);
-  const double da = q.a - c.a;
-  const double db = q.b - c.b;
-  // sum_{j=0}^{l-1} (da*j + db)^2 expanded with sum j and sum j^2.
-  return ld * (ld - 1.0) * (2.0 * ld - 1.0) / 6.0 * da * da +
-         ld * (ld - 1.0) * da * db + ld * db * db;
-}
-
 std::vector<size_t> UnionEndpoints(const Representation& a,
                                    const Representation& b) {
   SAPLA_DCHECK(a.n == b.n);

@@ -18,8 +18,16 @@
 namespace sapla {
 
 /// Eq. (12): sum over j in [0, l) of (q(j) - c(j))^2 for two lines in the
-/// same local coordinates. Closed form, O(1).
-double DistSSquared(const Line& q, const Line& c, size_t l);
+/// same local coordinates. Closed form, O(1). Inline: every Dist_PAR and
+/// Dist_LB kernel calls it once per (sub-)segment.
+inline double DistSSquared(const Line& q, const Line& c, size_t l) {
+  const double ld = static_cast<double>(l);
+  const double da = q.a - c.a;
+  const double db = q.b - c.b;
+  // sum_{j=0}^{l-1} (da*j + db)^2 expanded with sum j and sum j^2.
+  return ld * (ld - 1.0) * (2.0 * ld - 1.0) / 6.0 * da * da +
+         ld * (ld - 1.0) * da * db + ld * db * db;
+}
 
 /// Sorted union of the two representations' segment endpoints (Def. 5.1's R).
 std::vector<size_t> UnionEndpoints(const Representation& a,

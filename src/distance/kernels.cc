@@ -37,49 +37,40 @@ struct SoaSegs {
   size_t r(size_t i) const { return static_cast<size_t>(r_[i]); }
 };
 
-// Dist_PAR core over any pair of layouts. Phase 1 merges both sorted
-// endpoint lists into the reusable buffer — the same sorted union
-// UnionEndpoints materializes. Phase 2 walks both representations over the
-// merged cuts; each re-cut line is (a, a * offset + b) exactly as
-// PartitionAt emits it, and the terms are summed in the same ascending
-// order, so the result is bit-identical to DistPar over the equivalent
-// Representations.
+// Dist_PAR core over any pair of layouts, in one pass. Both endpoint lists
+// are sorted and end at n-1, so stepping to the smaller of the two current
+// endpoints visits exactly the sorted union UnionEndpoints materializes,
+// and both lists run out together. Each re-cut line is
+// (a, a * offset + b) exactly as PartitionAt emits it, and the terms are
+// summed in the same ascending order, so the result is bit-identical to
+// DistPar over the equivalent Representations.
 template <typename QSegs, typename CSegs>
-double DistParCore(const QSegs& q, size_t nq, const CSegs& c, size_t nc,
-                   DistanceScratch* scratch) {
-  std::vector<size_t>& r = scratch->endpoints;
-  r.clear();
-  {
-    size_t i = 0, j = 0;
-    while (i < nq || j < nc) {
-      const size_t ri = i < nq ? q.r(i) : static_cast<size_t>(-1);
-      const size_t rj = j < nc ? c.r(j) : static_cast<size_t>(-1);
-      const size_t e = ri < rj ? ri : rj;
-      r.push_back(e);
-      if (ri == e) ++i;
-      if (rj == e) ++j;
-    }
-  }
+double DistParCore(const QSegs& q, size_t nq, const CSegs& c, size_t nc) {
   double sum = 0.0;
   size_t start = 0;
   size_t iq = 0, ic = 0;
   size_t q_start = 0, c_start = 0;  // segment_start of the current sources
-  for (const size_t e : r) {
+  while (iq < nq) {
+    SAPLA_DCHECK(ic < nc);
+    const size_t rq = q.r(iq);
+    const size_t rc = c.r(ic);
+    const size_t e = rq < rc ? rq : rc;
     const double q_off = static_cast<double>(start - q_start);
     const double c_off = static_cast<double>(start - c_start);
     const Line ql{q.a(iq), q.a(iq) * q_off + q.b(iq)};
     const Line cl{c.a(ic), c.a(ic) * c_off + c.b(ic)};
     sum += DistSSquared(ql, cl, e - start + 1);
-    if (e == q.r(iq)) {
+    if (e == rq) {
       ++iq;
       q_start = e + 1;
     }
-    if (e == c.r(ic)) {
+    if (e == rc) {
       ++ic;
       c_start = e + 1;
     }
     start = e + 1;
   }
+  SAPLA_DCHECK(ic == nc);
   return std::sqrt(sum);
 }
 
@@ -92,19 +83,13 @@ decltype(auto) WithSegs(const RepView& v, Fn&& fn) {
 
 }  // namespace
 
-double DistParView(const RepView& q, const RepView& c,
-                   DistanceScratch* scratch) {
+double DistParView(const RepView& q, const RepView& c) {
   SAPLA_DCHECK(q.n() == c.n());
   return WithSegs(q, [&](const auto& qs) {
     return WithSegs(c, [&](const auto& cs) {
-      return DistParCore(qs, q.num_segments(), cs, c.num_segments(), scratch);
+      return DistParCore(qs, q.num_segments(), cs, c.num_segments());
     });
   });
-}
-
-double DistParView(const RepView& q, const RepView& c) {
-  DistanceScratch scratch;
-  return DistParView(q, c, &scratch);
 }
 
 double DistLbView(const PrefixFitter& query_fitter, const RepView& c) {
@@ -202,7 +187,7 @@ double LowerBoundDistanceView(const RepView& q, const RepView& c,
     case Method::kSax:
       return SaxMinDistView(q, c, scratch);
     default:
-      return DistParView(q, c, scratch);
+      return DistParView(q, c);
   }
 }
 
@@ -319,7 +304,7 @@ void LowerBoundDistanceBatch(const RepView& q, const RepresentationStore& store,
       const size_t id = ids ? ids[j] : j;
       const uint64_t s0 = off[id];
       out[j] = DistParCore(qs, nq, SoaSegs{a + s0, b + s0, r + s0},
-                           static_cast<size_t>(off[id + 1] - s0), scratch);
+                           static_cast<size_t>(off[id + 1] - s0));
     }
   });
 }

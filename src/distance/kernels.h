@@ -9,19 +9,18 @@
 // the per-pair Representation kernels while producing bit-identical
 // values (tests/distance_kernels_test.cc):
 //
-//   * Dist_PAR walks the two endpoint lists with a single merge loop and a
-//     caller-provided merged-endpoint scratch buffer, instead of
-//     materializing UnionEndpoints + two PartitionAt vectors per pair. Each
-//     sub-segment's re-cut line uses the identical expression
+//   * Dist_PAR walks the two endpoint lists in a single merge pass,
+//     instead of materializing UnionEndpoints + two PartitionAt vectors
+//     per pair. Each sub-segment's re-cut line uses the identical expression
 //     (a, a * offset + b), summed in the identical ascending-endpoint
 //     order, so every term — and therefore the sum — matches DistPar
 //     bit for bit.
-//   * The batched entry points (one query vs. `count` stored series) reuse
-//     the scratch across the whole batch and read the store's contiguous
-//     columns, so the loop does arithmetic instead of allocator traffic.
+//   * The batched entry points (one query vs. `count` stored series) read
+//     the store's contiguous columns directly, so the loop does arithmetic
+//     instead of per-entry view construction and dispatch.
 //     bench/bench_distance_kernels.cc tracks the throughput ratio.
 //
-// DistanceScratch also caches the SAX breakpoint table per alphabet so the
+// DistanceScratch caches the SAX breakpoint table per alphabet so the
 // MINDIST kernel does not recompute quantiles per pair.
 
 #include <cstddef>
@@ -35,18 +34,14 @@ namespace sapla {
 /// \brief Reusable buffers for the kernels. One per thread / per query;
 /// never shared concurrently. Cleared lazily — callers just pass it along.
 struct DistanceScratch {
-  /// Merged endpoint buffer for the Dist_PAR partition (Def. 5.1's R).
-  std::vector<size_t> endpoints;
   /// SAX breakpoints cached per alphabet size.
   std::vector<double> sax_breakpoints;
   size_t sax_alphabet = 0;
 };
 
 /// Dist_PAR (Definition 5.1) over views; bit-identical to
-/// DistPar(const Representation&, const Representation&).
-double DistParView(const RepView& q, const RepView& c,
-                   DistanceScratch* scratch);
-/// Convenience overload owning a local scratch (allocates once per call).
+/// DistPar(const Representation&, const Representation&). Allocates
+/// nothing.
 double DistParView(const RepView& q, const RepView& c);
 
 /// Dist_LB over a view; bit-identical to DistLb(fitter, Representation).

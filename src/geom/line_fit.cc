@@ -6,20 +6,6 @@
 
 namespace sapla {
 
-Line FitFromSums(double s1, double st, size_t l) {
-  Line line;
-  if (l <= 1) {
-    line.a = 0.0;
-    line.b = s1;  // single point: S1 is the point itself
-    return line;
-  }
-  const double ld = static_cast<double>(l);
-  // a = (12*St - 6*(l-1)*S1) / (l*(l^2-1)); exact LS solution, equals Eq.(1).
-  line.a = (12.0 * st - 6.0 * (ld - 1.0) * s1) / (ld * (ld - 1.0) * (ld + 1.0));
-  line.b = s1 / ld - line.a * (ld - 1.0) / 2.0;
-  return line;
-}
-
 Line FitLine(const double* values, size_t l) {
   double s1 = 0.0, st = 0.0;
   for (size_t t = 0; t < l; ++t) {
@@ -41,23 +27,9 @@ PrefixFitter::PrefixFitter(std::vector<double> values)
   }
 }
 
-double PrefixFitter::RangeSum(size_t s, size_t e) const {
-  SAPLA_DCHECK(s <= e && e < values_.size());
-  return p1_[e + 1] - p1_[s];
-}
-
-double PrefixFitter::RangeLocalTimeSum(size_t s, size_t e) const {
-  SAPLA_DCHECK(s <= e && e < values_.size());
-  return (pt_[e + 1] - pt_[s]) - static_cast<double>(s) * RangeSum(s, e);
-}
-
 double PrefixFitter::RangeSquareSum(size_t s, size_t e) const {
   SAPLA_DCHECK(s <= e && e < values_.size());
   return p2_[e + 1] - p2_[s];
-}
-
-Line PrefixFitter::Fit(size_t s, size_t e) const {
-  return FitFromSums(RangeSum(s, e), RangeLocalTimeSum(s, e), e - s + 1);
 }
 
 double PrefixFitter::ResidualSse(size_t s, size_t e, const Line& line) const {

@@ -18,6 +18,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/status.h"
+
 namespace sapla {
 
 /// \brief A line y = a*t + b over a segment's local coordinate t = 0..l-1.
@@ -33,7 +35,21 @@ struct Line {
 /// Least-squares line through (0, y_0) .. (l-1, y_{l-1}) given the
 /// sufficient statistics S1 = sum(y_t) and St = sum(t*y_t).
 /// For l == 1 returns the horizontal line through the single point.
-Line FitFromSums(double s1, double st, size_t l);
+/// Inline, like the PrefixFitter range queries below: the Dist_LB filter
+/// calls them once per stored segment of every candidate.
+inline Line FitFromSums(double s1, double st, size_t l) {
+  Line line;
+  if (l <= 1) {
+    line.a = 0.0;
+    line.b = s1;  // single point: S1 is the point itself
+    return line;
+  }
+  const double ld = static_cast<double>(l);
+  // a = (12*St - 6*(l-1)*S1) / (l*(l^2-1)); exact LS solution, equals Eq.(1).
+  line.a = (12.0 * st - 6.0 * (ld - 1.0) * s1) / (ld * (ld - 1.0) * (ld + 1.0));
+  line.b = s1 / ld - line.a * (ld - 1.0) / 2.0;
+  return line;
+}
 
 /// Least-squares line over a raw vector (local coordinates).
 Line FitLine(const double* values, size_t l);
@@ -49,16 +65,24 @@ class PrefixFitter {
   const std::vector<double>& values() const { return values_; }
 
   /// Sum of c_t over the inclusive range [s, e].
-  double RangeSum(size_t s, size_t e) const;
+  double RangeSum(size_t s, size_t e) const {
+    SAPLA_DCHECK(s <= e && e < values_.size());
+    return p1_[e + 1] - p1_[s];
+  }
 
   /// Sum of (t - s) * c_t over [s, e] (local time weighting).
-  double RangeLocalTimeSum(size_t s, size_t e) const;
+  double RangeLocalTimeSum(size_t s, size_t e) const {
+    SAPLA_DCHECK(s <= e && e < values_.size());
+    return (pt_[e + 1] - pt_[s]) - static_cast<double>(s) * RangeSum(s, e);
+  }
 
   /// Sum of c_t^2 over [s, e].
   double RangeSquareSum(size_t s, size_t e) const;
 
   /// Least-squares line of the range [s, e] in local coordinates. O(1).
-  Line Fit(size_t s, size_t e) const;
+  Line Fit(size_t s, size_t e) const {
+    return FitFromSums(RangeSum(s, e), RangeLocalTimeSum(s, e), e - s + 1);
+  }
 
   /// Sum of squared residuals of `line` over [s, e]. O(1).
   double ResidualSse(size_t s, size_t e, const Line& line) const;

@@ -224,23 +224,19 @@ int DbchTree::SplitNode(int node_id) {
   return sibling;
 }
 
-double DbchTree::NodeDist(const Node& node,
-                          const QueryDistFn& query_dist) const {
+bool DbchTree::MeasuresHull() const {
+  return !options_.sound_bounds || options_.metric_pair_dist;
+}
+
+double DbchTree::NodeDist(const Node& node, double du, double dl) const {
   if (options_.sound_bounds) {
     // Endpoint-radius bound: for any entry x under the node, the triangle
     // inequality gives d(q, x) >= d(q, a) - d(a, x) >= d(q, a) - radius_a
     // (and likewise through b). Requires the pairwise distance to be a
-    // metric; otherwise no node-level bound is valid and we never prune.
-    if (!options_.metric_pair_dist) return 0.0;
-    const double du = query_dist(node.hull_a);
-    const double dl =
-        node.hull_b == node.hull_a ? du : query_dist(node.hull_b);
+    // metric, which MeasuresHull() guarantees.
     return std::max({0.0, du - node.radius_a, dl - node.radius_b});
   }
   // §5.3: inside the hull -> 0; outside -> the smaller hull distance.
-  const double du = query_dist(node.hull_a);
-  const double dl =
-      node.hull_b == node.hull_a ? du : query_dist(node.hull_b);
   if (du < node.volume && dl < node.volume) return 0.0;
   return std::min(du, dl);
 }
@@ -282,10 +278,15 @@ void DbchTree::BestFirstSearch(const QueryDistFn& query_dist,
     double dist;
     int node;
     size_t level;  // root = 0
+    // d(q, hull_a) and d(q, hull_b) as measured for this node's bound. Only
+    // set when MeasuresHull(), and never for the root, which is queued
+    // without a bound.
+    double du, dl;
     bool operator>(const QItem& o) const { return dist > o.dist; }
   };
   std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
-  pq.push({0.0, root_, 0});
+  pq.push({0.0, root_, 0, 0.0, 0.0});
+  const bool measures_hull = MeasuresHull();
   double bound = std::numeric_limits<double>::infinity();
   while (!pq.empty()) {
     const QItem item = pq.top();
@@ -300,10 +301,29 @@ void DbchTree::BestFirstSearch(const QueryDistFn& query_dist,
     if (node.leaf) {
       for (const size_t id : node.entries) bound = visit(id, bound);
     } else {
+      // Internal hulls take their endpoints from their children, so a
+      // child endpoint that is also one of this node's reuses the distance
+      // measured when this node was queued. The value is the same either
+      // way; only the call is saved.
+      const auto endpoint_dist = [&](size_t id) {
+        if (item.level > 0) {
+          if (id == node.hull_a) return item.du;
+          if (id == node.hull_b) return item.dl;
+        }
+        if (counters != nullptr) ++counters->node_bound_evaluations;
+        return query_dist(id);
+      };
       for (const int c : node.children) {
-        const double d = NodeDist(nodes_[static_cast<size_t>(c)], query_dist);
-        if (d <= bound) {
-          pq.push({d, c, item.level + 1});
+        const Node& child = nodes_[static_cast<size_t>(c)];
+        QItem next{0.0, c, item.level + 1, 0.0, 0.0};
+        if (measures_hull) {
+          next.du = endpoint_dist(child.hull_a);
+          next.dl = child.hull_b == child.hull_a ? next.du
+                                                 : endpoint_dist(child.hull_b);
+          next.dist = NodeDist(child, next.du, next.dl);
+        }
+        if (next.dist <= bound) {
+          pq.push(next);
         } else if (counters != nullptr) {
           ++counters->nodes_pruned;
         }

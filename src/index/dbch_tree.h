@@ -87,8 +87,12 @@ class DbchTree {
 
   /// Best-first traversal using the §5.3 node distance. Nodes whose distance
   /// exceeds the bound returned by `visit` are pruned. When `counters` is
-  /// non-null the traversal records node expansions by level and node-level
-  /// pruning into it (obs/counters.h).
+  /// non-null the traversal records node expansions by level, node-level
+  /// pruning and `query_dist` calls into it (obs/counters.h).
+  ///
+  /// `query_dist` is called at most once per distinct hull endpoint on the
+  /// path: a child that shares an endpoint with its parent (internal hulls
+  /// are drawn from the children's endpoints) reuses the parent's value.
   void BestFirstSearch(const QueryDistFn& query_dist, const VisitFn& visit,
                        SearchCounters* counters = nullptr) const;
 
@@ -123,7 +127,12 @@ class DbchTree {
   // consider only the children's hull endpoints (paper §5.3).
   void RecomputeHull(int node_id);
   std::vector<size_t> HullCandidates(const Node& node) const;
-  double NodeDist(const Node& node, const QueryDistFn& query_dist) const;
+  // False under sound bounds with a non-metric pair distance: no node-level
+  // bound is valid then, so none is measured and every node distance is 0.
+  bool MeasuresHull() const;
+  // Node distance of the active regime, given the query's distances du / dl
+  // to the node's hull_a / hull_b.
+  double NodeDist(const Node& node, double du, double dl) const;
 
   // Returns new sibling node id on split, -1 otherwise.
   int InsertRec(int node_id, size_t entry);

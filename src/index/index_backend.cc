@@ -74,7 +74,7 @@ class DbchBackend : public IndexBackend {
         tree_(
             [this](size_t a, size_t b) {
               // Build-time only (single-threaded Insert), so one scratch
-              // amortizes the Dist_PAR endpoint buffer across the build.
+              // serves the whole build.
               // The pair distance deliberately stays UNADJUSTED by any
               // quantization slack: it defines center/radius geometry in
               // the quantized metric space, and the query-side closure
@@ -105,9 +105,11 @@ class DbchBackend : public IndexBackend {
     // (the build radii are consistent quantized-space measurements and
     // need no adjustment), so subtracting it here keeps pruning sound.
     const double slack = ctx_.max_lb_slack();
+    // One pin for the whole traversal: a cold store keeps the last decoded
+    // frame between hull endpoints instead of re-pinning per call.
+    StoreReadPin pin;
     tree_.BestFirstSearch(
         [&](size_t id) {
-          StoreReadPin pin;
           const double d =
               LowerBoundDistanceView(query_rep, ctx_.rep_view(id, &pin), &scratch);
           return slack > 0.0 ? std::max(0.0, d - slack) : d;

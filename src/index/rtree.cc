@@ -320,6 +320,7 @@ void RTree::BestFirstSearch(const BoxDistFn& box_dist, const VisitFn& visit,
       if (node.leaf) {
         bound = visit(e.id, bound);
       } else {
+        if (counters != nullptr) ++counters->node_bound_evaluations;
         const double d = box_dist(e.lo, e.hi);
         if (d <= bound) {
           pq.push({d, e.child, item.level + 1});

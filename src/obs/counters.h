@@ -52,6 +52,9 @@ struct SearchCounters {
   /// Child nodes discarded by the bound — enqueued-then-obsolete ones and
   /// never-enqueued ones alike (the "node accesses avoided" of Fig. 15/16).
   uint64_t nodes_pruned = 0;
+  /// Query-side node-bound distances computed: DBCH hull-endpoint
+  /// distances (Dist_PAR to the query) and R-tree MINDIST calls.
+  uint64_t node_bound_evaluations = 0;
 
   uint64_t lb_evaluations = 0;      ///< leaf entries whose lower bound ran
   uint64_t exact_evaluations = 0;   ///< raw distances computed (Eq. 14)
@@ -92,6 +95,7 @@ struct SearchCounters {
     for (size_t l = 0; l < kMaxLevels; ++l)
       nodes_visited_by_level[l] += other.nodes_visited_by_level[l];
     nodes_pruned += other.nodes_pruned;
+    node_bound_evaluations += other.node_bound_evaluations;
     lb_evaluations += other.lb_evaluations;
     exact_evaluations += other.exact_evaluations;
     entries_pruned_leaf += other.entries_pruned_leaf;
@@ -118,6 +122,7 @@ struct SearchCounters {
     return a.nodes_visited_internal == b.nodes_visited_internal &&
            a.nodes_visited_leaf == b.nodes_visited_leaf &&
            a.nodes_pruned == b.nodes_pruned &&
+           a.node_bound_evaluations == b.node_bound_evaluations &&
            a.lb_evaluations == b.lb_evaluations &&
            a.exact_evaluations == b.exact_evaluations &&
            a.entries_pruned_leaf == b.entries_pruned_leaf &&

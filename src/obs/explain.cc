@@ -36,11 +36,12 @@ void AppendCounters(std::string* out, const SearchCounters& c) {
   AppendF(out,
           "{\"nodes_visited_internal\":%" PRIu64
           ",\"nodes_visited_leaf\":%" PRIu64 ",\"nodes_pruned\":%" PRIu64
+          ",\"node_bound_evaluations\":%" PRIu64
           ",\"lb_evaluations\":%" PRIu64 ",\"exact_evaluations\":%" PRIu64
           ",\"entries_pruned_leaf\":%" PRIu64
           ",\"entries_pruned_node\":%" PRIu64 ",\"mean_tightness\":",
           c.nodes_visited_internal, c.nodes_visited_leaf, c.nodes_pruned,
-          c.lb_evaluations, c.exact_evaluations, c.entries_pruned_leaf,
+          c.node_bound_evaluations, c.lb_evaluations, c.exact_evaluations, c.entries_pruned_leaf,
           c.entries_pruned_node);
   AppendDouble(out, c.MeanTightness());
   AppendF(out, ",\"cascade_stage\":\"%s\"}",

@@ -28,6 +28,8 @@ void AtomicSearchCounters::Add(const SearchCounters& c, size_t dataset_size) {
   nodes_visited_leaf.fetch_add(c.nodes_visited_leaf,
                                std::memory_order_relaxed);
   nodes_pruned.fetch_add(c.nodes_pruned, std::memory_order_relaxed);
+  node_bound_evaluations.fetch_add(c.node_bound_evaluations,
+                                   std::memory_order_relaxed);
   lb_evaluations.fetch_add(c.lb_evaluations, std::memory_order_relaxed);
   exact_evaluations.fetch_add(c.exact_evaluations, std::memory_order_relaxed);
   entries_pruned_leaf.fetch_add(c.entries_pruned_leaf,
@@ -77,6 +79,7 @@ SearchCountersSnapshot SnapshotSearchCounters(const AtomicSearchCounters& c) {
   s.nodes_visited_internal = c.nodes_visited_internal.load();
   s.nodes_visited_leaf = c.nodes_visited_leaf.load();
   s.nodes_pruned = c.nodes_pruned.load();
+  s.node_bound_evaluations = c.node_bound_evaluations.load();
   s.lb_evaluations = c.lb_evaluations.load();
   s.exact_evaluations = c.exact_evaluations.load();
   s.entries_pruned_leaf = c.entries_pruned_leaf.load();
@@ -186,6 +189,8 @@ Table MetricsToTable(const ServeMetricsSnapshot& snap,
   counter("search_nodes_visited_internal", snap.search.nodes_visited_internal);
   counter("search_nodes_visited_leaf", snap.search.nodes_visited_leaf);
   counter("search_nodes_pruned", snap.search.nodes_pruned);
+  counter("search_node_bound_evaluations",
+          snap.search.node_bound_evaluations);
   counter("search_lb_evaluations", snap.search.lb_evaluations);
   counter("search_exact_evaluations", snap.search.exact_evaluations);
   counter("search_entries_pruned_leaf", snap.search.entries_pruned_leaf);
@@ -317,6 +322,9 @@ std::string MetricsToPrometheus(const ServeMetrics& metrics,
   AppendCounter(out, prefix, "search_nodes_pruned",
                 "Index nodes discarded by the pruning bound.",
                 snap.search.nodes_pruned);
+  AppendCounter(out, prefix, "search_node_bound_evaluations",
+                "Query-side node-bound distance evaluations.",
+                snap.search.node_bound_evaluations);
   AppendCounter(out, prefix, "search_lb_evaluations",
                 "Lower-bound (filter) distance evaluations.",
                 snap.search.lb_evaluations);
@@ -482,6 +490,7 @@ std::string MetricsToJson(const ServeMetricsSnapshot& snap) {
   counter("nodes_visited_internal", snap.search.nodes_visited_internal);
   counter("nodes_visited_leaf", snap.search.nodes_visited_leaf);
   counter("nodes_pruned", snap.search.nodes_pruned);
+  counter("node_bound_evaluations", snap.search.node_bound_evaluations);
   counter("lb_evaluations", snap.search.lb_evaluations);
   counter("exact_evaluations", snap.search.exact_evaluations);
   counter("entries_pruned_leaf", snap.search.entries_pruned_leaf);

@@ -69,6 +69,7 @@ struct AtomicSearchCounters {
   std::atomic<uint64_t> nodes_visited_internal{0};
   std::atomic<uint64_t> nodes_visited_leaf{0};
   std::atomic<uint64_t> nodes_pruned{0};
+  std::atomic<uint64_t> node_bound_evaluations{0};
   std::atomic<uint64_t> lb_evaluations{0};
   std::atomic<uint64_t> exact_evaluations{0};
   std::atomic<uint64_t> entries_pruned_leaf{0};
@@ -88,6 +89,7 @@ struct SearchCountersSnapshot {
   uint64_t nodes_visited_internal = 0;
   uint64_t nodes_visited_leaf = 0;
   uint64_t nodes_pruned = 0;
+  uint64_t node_bound_evaluations = 0;
   uint64_t lb_evaluations = 0;
   uint64_t exact_evaluations = 0;
   uint64_t entries_pruned_leaf = 0;

@@ -21,6 +21,7 @@
 #include "search/snapshot.h"
 #include "ts/synthetic_archive.h"
 #include "util/rng.h"
+#include "test_tmpdir.h"
 
 namespace sapla {
 namespace {
@@ -158,9 +159,9 @@ TEST_P(CompressedSweep, BatchedAnswersAreIdenticalAtEveryThreadCount) {
 }
 
 TEST_P(CompressedSweep, LossySnapshotRoundTripServesIdenticalAnswers) {
-  const std::string path = "/tmp/sapla_compressed_parity_" +
+  const std::string path = TestPath("compressed_parity_" +
                            std::string(MethodName(GetParam().method)) + "_" +
-                           IndexKindName(GetParam().kind) + ".snp";
+                           IndexKindName(GetParam().kind) + ".snp");
   SnapshotWriteOptions write;
   write.codec = CoarseCodec();
   ASSERT_TRUE(SaveIndexSnapshot(path, *raw_, write).ok());
@@ -202,7 +203,7 @@ TEST(ColdSnapshotParity, ColdQuantizedShardServesIdenticalAnswers) {
   SimilarityIndex raw(Method::kSapla, kBudget, IndexKind::kRTree);
   ASSERT_TRUE(raw.Build(ds).ok());
 
-  const std::string path = "/tmp/sapla_compressed_parity_cold.snp";
+  const std::string path = TestPath("compressed_parity_cold.snp");
   SnapshotWriteOptions write;
   write.codec = CoarseCodec();
   write.store_format = StoreFormat::kV4;
@@ -239,7 +240,7 @@ TEST(ColdSnapshotParity, UnquantizedV4ColdLoadAlsoMatches) {
   SimilarityIndex raw(Method::kCheby, kBudget, IndexKind::kRTree);
   ASSERT_TRUE(raw.Build(ds).ok());
 
-  const std::string path = "/tmp/sapla_compressed_parity_cold_raw.snp";
+  const std::string path = TestPath("compressed_parity_cold_raw.snp");
   SnapshotWriteOptions write;
   write.store_format = StoreFormat::kV4;
   ASSERT_TRUE(SaveIndexSnapshot(path, raw, write).ok());

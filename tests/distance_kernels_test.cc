@@ -7,6 +7,8 @@
 
 #include "distance/kernels.h"
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "reduction/dft.h"
 #include "reduction/representation.h"
 #include "reduction/representation_store.h"
+#include "reduction/sax.h"
 #include "ts/synthetic_archive.h"
 
 namespace sapla {
@@ -47,30 +50,100 @@ Corpus ReduceAll(const Dataset& ds, Method method, size_t m) {
   return corpus;
 }
 
+// Dist_PAR of views over every layout combination — AoS pair, SoA pair and
+// both mixed orders — must equal the legacy per-pair DistPar bit for bit.
+void ExpectDistParBitIdentical(const Representation& q, const RepView& q_soa,
+                               const Representation& c, const RepView& c_soa,
+                               const std::string& label) {
+  const double legacy = DistPar(q, c);
+  EXPECT_EQ(DistParView(RepView::Of(q), RepView::Of(c)), legacy) << label;
+  EXPECT_EQ(DistParView(q_soa, c_soa), legacy) << label;
+  EXPECT_EQ(DistParView(RepView::Of(q), c_soa), legacy) << label;
+  EXPECT_EQ(DistParView(q_soa, RepView::Of(c)), legacy) << label;
+}
+
+// Merges each pair of adjacent segments into one (keeping the first
+// segment's line), so every endpoint of the result is also one of `rep`'s.
+Representation DropEveryOtherEndpoint(const Representation& rep) {
+  Representation out = rep;
+  out.segments.clear();
+  for (size_t i = 0; i < rep.segments.size(); i += 2) {
+    const size_t last = std::min(i + 1, rep.segments.size() - 1);
+    out.segments.push_back(
+        {rep.segments[i].a, rep.segments[i].b, rep.segments[last].r});
+  }
+  return out;
+}
+
 TEST(DistanceKernels, DistParViewIsBitIdenticalToDistPar) {
   const Dataset ds = TestDataset();
   for (const Method method : {Method::kSapla, Method::kApla, Method::kApca,
                               Method::kPla, Method::kPaa, Method::kPaalm}) {
+    const std::string name = MethodName(method);
     for (const size_t m : kBudgets) {
       const Corpus corpus = ReduceAll(ds, method, m);
-      DistanceScratch scratch;
       for (size_t i = 0; i + 1 < corpus.reps.size(); ++i) {
-        const double legacy = DistPar(corpus.reps[i], corpus.reps[i + 1]);
-        // AoS view pair, SoA view pair, and mixed — all three layouts.
-        EXPECT_EQ(DistParView(RepView::Of(corpus.reps[i]),
-                              RepView::Of(corpus.reps[i + 1]), &scratch),
-                  legacy);
-        EXPECT_EQ(DistParView(corpus.store.view(i), corpus.store.view(i + 1),
-                              &scratch),
-                  legacy);
-        EXPECT_EQ(DistParView(RepView::Of(corpus.reps[i]),
-                              corpus.store.view(i + 1), &scratch),
-                  legacy);
-        // The scratch-free convenience overload.
-        EXPECT_EQ(DistParView(corpus.store.view(i), corpus.store.view(i + 1)),
-                  legacy);
+        ExpectDistParBitIdentical(corpus.reps[i], corpus.store.view(i),
+                                  corpus.reps[i + 1], corpus.store.view(i + 1),
+                                  name + " M=" + std::to_string(m));
       }
     }
+
+    // Different segment counts on the two sides, in both orders.
+    const Corpus coarse = ReduceAll(ds, method, 8);
+    const Corpus fine = ReduceAll(ds, method, 24);
+    for (size_t i = 0; i + 1 < ds.size(); ++i) {
+      ExpectDistParBitIdentical(coarse.reps[i], coarse.store.view(i),
+                                fine.reps[i + 1], fine.store.view(i + 1),
+                                name + " M=8 vs M=24");
+      ExpectDistParBitIdentical(fine.reps[i], fine.store.view(i),
+                                coarse.reps[i + 1], coarse.store.view(i + 1),
+                                name + " M=24 vs M=8");
+    }
+
+    // Coincident endpoints: one side's endpoints are a subset of the
+    // other's, and a series against itself shares every endpoint.
+    Corpus merged;
+    for (const Representation& rep : fine.reps) {
+      merged.reps.push_back(DropEveryOtherEndpoint(rep));
+      merged.store.Append(merged.reps.back());
+    }
+    for (size_t i = 0; i + 1 < ds.size(); ++i) {
+      ExpectDistParBitIdentical(merged.reps[i], merged.store.view(i),
+                                fine.reps[i], fine.store.view(i),
+                                name + " subset endpoints, same series");
+      ExpectDistParBitIdentical(fine.reps[i + 1], fine.store.view(i + 1),
+                                merged.reps[i], merged.store.view(i),
+                                name + " subset endpoints");
+      ExpectDistParBitIdentical(fine.reps[i], fine.store.view(i),
+                                fine.reps[i], fine.store.view(i),
+                                name + " self");
+    }
+  }
+
+  // Single-segment representations, against each other and against
+  // multi-segment ones.
+  const Corpus fine = ReduceAll(ds, Method::kSapla, 24);
+  Corpus single;
+  for (size_t i = 0; i < ds.size(); ++i) {
+    Representation rep;
+    rep.method = Method::kSapla;
+    rep.n = ds.series[i].values.size();
+    rep.segments.push_back({0.01 * static_cast<double>(i) - 0.05,
+                            0.5 - 0.1 * static_cast<double>(i), rep.n - 1});
+    single.reps.push_back(rep);
+    single.store.Append(rep);
+  }
+  for (size_t i = 0; i + 1 < ds.size(); ++i) {
+    ExpectDistParBitIdentical(single.reps[i], single.store.view(i),
+                              single.reps[i + 1], single.store.view(i + 1),
+                              "single vs single");
+    ExpectDistParBitIdentical(single.reps[i], single.store.view(i),
+                              fine.reps[i], fine.store.view(i),
+                              "single vs M=24");
+    ExpectDistParBitIdentical(fine.reps[i + 1], fine.store.view(i + 1),
+                              single.reps[i], single.store.view(i),
+                              "M=24 vs single");
   }
 }
 
@@ -169,17 +242,34 @@ TEST(DistanceKernels, BatchedKernelsMatchPerPairKernels) {
 }
 
 TEST(DistanceKernels, ScratchStateDoesNotLeakAcrossPairs) {
-  // Reusing one scratch across pairs with different segmentations (and
-  // across SAX alphabets) must not change any value.
+  // Reusing one scratch across methods, segmentations and SAX alphabets
+  // must not change any value.
   const Dataset ds = TestDataset();
-  const Corpus sapla = ReduceAll(ds, Method::kSapla, 24);
   DistanceScratch reused;
-  for (size_t i = 0; i + 1 < ds.size(); ++i) {
-    DistanceScratch fresh;
-    EXPECT_EQ(DistParView(sapla.store.view(i), sapla.store.view(i + 1),
-                          &reused),
-              DistParView(sapla.store.view(i), sapla.store.view(i + 1),
-                          &fresh));
+  for (const size_t m : kBudgets) {
+    for (const Method method : AllMethods()) {
+      const Corpus corpus = ReduceAll(ds, method, m);
+      for (size_t i = 0; i + 1 < ds.size(); ++i) {
+        DistanceScratch fresh;
+        EXPECT_EQ(LowerBoundDistanceView(corpus.store.view(i),
+                                         corpus.store.view(i + 1), &reused),
+                  LowerBoundDistanceView(corpus.store.view(i),
+                                         corpus.store.view(i + 1), &fresh))
+            << MethodName(method) << " M=" << m;
+      }
+    }
+  }
+  for (const size_t alphabet : {4, 16, 4}) {
+    const SaxReducer reducer(alphabet);
+    RepresentationStore store;
+    for (const TimeSeries& ts : ds.series)
+      store.Append(reducer.Reduce(ts.values, 12));
+    for (size_t i = 0; i + 1 < ds.size(); ++i) {
+      DistanceScratch fresh;
+      EXPECT_EQ(SaxMinDistView(store.view(i), store.view(i + 1), &reused),
+                SaxMinDistView(store.view(i), store.view(i + 1), &fresh))
+          << "alphabet " << alphabet;
+    }
   }
 }
 

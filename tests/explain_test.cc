@@ -45,7 +45,7 @@ Dataset SmallDataset(size_t id = 7, size_t n = 96, size_t count = 64) {
 // validated against.
 void ExpectPartsSumToTotal(const obs::QueryExplain& explain) {
   uint64_t lb = 0, exact = 0, internal = 0, leaf = 0, pruned_leaf = 0,
-           pruned_node = 0, nodes_pruned = 0;
+           pruned_node = 0, nodes_pruned = 0, node_bounds = 0;
   for (const obs::ShardExplain& part : explain.parts) {
     lb += part.counters.lb_evaluations;
     exact += part.counters.exact_evaluations;
@@ -54,6 +54,7 @@ void ExpectPartsSumToTotal(const obs::QueryExplain& explain) {
     pruned_leaf += part.counters.entries_pruned_leaf;
     pruned_node += part.counters.entries_pruned_node;
     nodes_pruned += part.counters.nodes_pruned;
+    node_bounds += part.counters.node_bound_evaluations;
   }
   EXPECT_EQ(lb, explain.counters.lb_evaluations);
   EXPECT_EQ(exact, explain.counters.exact_evaluations);
@@ -62,6 +63,7 @@ void ExpectPartsSumToTotal(const obs::QueryExplain& explain) {
   EXPECT_EQ(pruned_leaf, explain.counters.entries_pruned_leaf);
   EXPECT_EQ(pruned_node, explain.counters.entries_pruned_node);
   EXPECT_EQ(nodes_pruned, explain.counters.nodes_pruned);
+  EXPECT_EQ(node_bounds, explain.counters.node_bound_evaluations);
 }
 
 TEST(ExplainTest, ShardedPartCountersSumExactlyToMergedCounters) {
@@ -121,6 +123,7 @@ TEST(ExplainTest, ExplainJsonCarriesThePartBreakdown) {
   explain.trace_id = 42;
   explain.total_us = 1234;
   explain.counters.lb_evaluations = 10;
+  explain.counters.node_bound_evaluations = 7;
   obs::ShardExplain part;
   part.part = "shard0";
   part.health = 1;
@@ -133,6 +136,7 @@ TEST(ExplainTest, ExplainJsonCarriesThePartBreakdown) {
   EXPECT_NE(json.find("\"shard0\""), std::string::npos);
   EXPECT_NE(json.find("\"degraded\""), std::string::npos);  // health name
   EXPECT_NE(json.find("\"scatter\""), std::string::npos);
+  EXPECT_NE(json.find("\"node_bound_evaluations\":7"), std::string::npos);
 }
 
 // Acceptance: one sampled request through the full serving stack over four

@@ -11,6 +11,7 @@
 #include "reduction/sax.h"
 #include "ts/synthetic_archive.h"
 #include "ts/ucr_loader.h"
+#include "test_tmpdir.h"
 
 namespace sapla {
 namespace {
@@ -44,14 +45,14 @@ TEST(Io, RoundTripsEveryMethod) {
   for (const Method m : AllMethods())
     reps.push_back(MakeReducer(m)->Reduce(ds.series[0].values, 12));
 
-  const char* path = "/tmp/sapla_io_test.rep";
+  const std::string path = TestPath("io_test.rep");
   ASSERT_TRUE(SaveRepresentations(path, reps).ok());
   const auto loaded = LoadRepresentations(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->size(), reps.size());
   for (size_t i = 0; i < reps.size(); ++i)
     ExpectEqualReps(reps[i], (*loaded)[i]);
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(Io, RoundTripPreservesReconstructionExactly) {
@@ -77,7 +78,7 @@ TEST(Io, RejectsCorruptInput) {
 
 TEST(Io, DatasetTsvRoundTripsThroughUcrLoader) {
   const Dataset ds = SmallDataset();
-  const char* path = "/tmp/sapla_io_test.tsv";
+  const std::string path = TestPath("io_test.tsv");
   ASSERT_TRUE(SaveDatasetTsv(path, ds).ok());
   UcrLoadOptions opt;
   opt.target_length = 0;
@@ -92,7 +93,7 @@ TEST(Io, DatasetTsvRoundTripsThroughUcrLoader) {
     for (size_t t = 0; t < ds.length(); ++t)
       EXPECT_DOUBLE_EQ(loaded->series[i].values[t], ds.series[i].values[t]);
   }
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(Io, SerializeParseSerializeIsByteIdentical) {

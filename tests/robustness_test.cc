@@ -20,13 +20,15 @@
 #include "ts/ucr_loader.h"
 #include "util/fault.h"
 #include "util/status.h"
+#include "test_tmpdir.h"
 
 namespace sapla {
 namespace {
 
-// Writes `content` to a unique path under /tmp and returns the path.
+// Writes `content` to a path in the per-process scratch directory and
+// returns the path.
 std::string WriteTemp(const std::string& name, const std::string& content) {
-  const std::string path = "/tmp/sapla_robustness_" + name;
+  const std::string path = TestPath(name);
   std::ofstream out(path, std::ios::trunc | std::ios::binary);
   out << content;
   return path;
@@ -90,7 +92,7 @@ TEST_F(UcrLoaderRobustness, AcceptsAWellFormedFile) {
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   EXPECT_EQ(ds->series.size(), 2u);
   EXPECT_EQ(ds->series[0].values.size(), 3u);
-  std::remove("/tmp/sapla_robustness_ok.tsv");
+  std::remove(TestPath("ok.tsv").c_str());
 }
 
 TEST_F(UcrLoaderRobustness, RejectsEmptyFile) {
@@ -169,7 +171,7 @@ TEST_F(UcrLoaderRobustness, RandomByteSoupNeverCrashes) {
       EXPECT_FALSE(ds.status().message().empty());
     }
   }
-  std::remove("/tmp/sapla_robustness_fuzz.tsv");
+  std::remove(TestPath("fuzz.tsv").c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -200,7 +202,7 @@ TEST(V1ParserRobustness, RejectsTruncatedAndMalformedBlocks) {
 class AtomicWriteFaults : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = "/tmp/sapla_robustness_atomic.bin";
+    path_ = TestPath("atomic.bin");
     tmp_ = path_ + ".tmp." + std::to_string(static_cast<long>(::getpid()));
     std::remove(path_.c_str());
     std::remove(tmp_.c_str());

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -70,6 +71,28 @@ TEST(RTree, AllEntriesReachable) {
         return bound;
       });
   EXPECT_EQ(seen.size(), pts.size());
+}
+
+TEST(RTree, NodeBoundEvaluationsCountEveryBoxDistance) {
+  const auto pts = RandomPoints(7, 300, 3);
+  RTree tree(3);
+  for (size_t i = 0; i < pts.size(); ++i) tree.Insert(pts[i], i);
+  const std::vector<double> q = {1.0, -2.0, 3.0};
+  size_t calls = 0;
+  double best = std::numeric_limits<double>::infinity();
+  SearchCounters counters;
+  tree.BestFirstSearch(
+      [&](const std::vector<double>& lo, const std::vector<double>& hi) {
+        ++calls;
+        return PointBoxDist(q, lo, hi);
+      },
+      [&](size_t id, double bound) {
+        best = std::min(best, PointDist(q, pts[id]));
+        return std::min(bound, best);
+      },
+      &counters);
+  EXPECT_GT(calls, 0u);
+  EXPECT_EQ(counters.node_bound_evaluations, calls);
 }
 
 TEST(RTree, FillFactorsRespected) {

@@ -178,6 +178,16 @@ TEST(SearchCounters, ServiceAggregatesExecutedQueries) {
   // Tightness is a mean of lb/exact ratios, each in [0, 1].
   EXPECT_GE(snap.search.MeanTightness(), 0.0);
   EXPECT_LE(snap.search.MeanTightness(), 1.0);
+  // 60 entries at fill 5 make a multi-level tree, so node bounds ran; both
+  // exporters carry the aggregate.
+  EXPECT_GT(snap.search.node_bound_evaluations, 0u);
+  const std::string total =
+      std::to_string(snap.search.node_bound_evaluations);
+  EXPECT_NE(MetricsToJson(snap).find("\"node_bound_evaluations\": " + total),
+            std::string::npos);
+  EXPECT_NE(MetricsToPrometheus(service.metrics())
+                .find("sapla_search_node_bound_evaluations_total " + total),
+            std::string::npos);
 }
 
 TEST(SearchCounters, CountNodeVisitClampsDeepLevels) {

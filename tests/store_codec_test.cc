@@ -24,6 +24,7 @@
 #include "ts/io.h"
 #include "ts/synthetic_archive.h"
 #include "util/rng.h"
+#include "test_tmpdir.h"
 
 namespace sapla {
 namespace {
@@ -458,7 +459,7 @@ TEST(ColdStore, ViewsMatchHotBitForBit) {
   // > one frame of series so the cold tier actually crosses frames.
   const size_t kCount = storedetail::kDefaultFrameSeries * 2 + 37;
   const RepresentationStore hot = BigStore(kCount);
-  const char* path = "/tmp/sapla_store_codec_cold.bin";
+  const std::string path = TestPath("store_codec_cold.bin");
   ASSERT_TRUE(
       SaveRepresentationStore(path, hot, StoreFormat::kV4).ok());
 
@@ -488,13 +489,13 @@ TEST(ColdStore, ViewsMatchHotBitForBit) {
   EXPECT_GT(fp.frame_misses, 0u);
   // The sequential scan re-used the pin: one miss per frame, not per id.
   EXPECT_LE(fp.frame_misses, kCount / storedetail::kDefaultFrameSeries + 2);
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(ColdStore, TinyCacheEvictsAndStaysCorrect) {
   const size_t kCount = storedetail::kDefaultFrameSeries * 3 + 5;
   const RepresentationStore hot = BigStore(kCount);
-  const char* path = "/tmp/sapla_store_codec_cold_tiny.bin";
+  const std::string path = TestPath("store_codec_cold_tiny.bin");
   ASSERT_TRUE(
       SaveRepresentationStore(path, hot, StoreFormat::kV4).ok());
 
@@ -520,13 +521,13 @@ TEST(ColdStore, TinyCacheEvictsAndStaysCorrect) {
   // A 1-byte budget keeps at most one decoded frame resident, so the
   // resident side stays far below the mapped archive.
   EXPECT_LT(fp.resident_bytes, fp.mapped_bytes);
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(ColdStore, ConcurrentReadersAgreeWithHot) {
   const size_t kCount = storedetail::kDefaultFrameSeries * 2 + 11;
   const RepresentationStore hot = BigStore(kCount);
-  const char* path = "/tmp/sapla_store_codec_cold_mt.bin";
+  const std::string path = TestPath("store_codec_cold_mt.bin");
   ASSERT_TRUE(
       SaveRepresentationStore(path, hot, StoreFormat::kV4).ok());
 
@@ -558,7 +559,7 @@ TEST(ColdStore, ConcurrentReadersAgreeWithHot) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(ColdStore, QuantizedColdStoreKeepsSlackResident)
@@ -571,7 +572,7 @@ TEST(ColdStore, QuantizedColdStoreKeepsSlackResident)
   const auto quantized = QuantizeStore(MakeStore(Method::kSapla, ds, 8),
                                        codec);
   ASSERT_TRUE(quantized.ok());
-  const char* path = "/tmp/sapla_store_codec_cold_q.bin";
+  const std::string path = TestPath("store_codec_cold_q.bin");
   ASSERT_TRUE(SaveRepresentationStore(path, *quantized).ok());
 
   const auto cold = OpenColdRepresentationStore(path);
@@ -583,7 +584,7 @@ TEST(ColdStore, QuantizedColdStoreKeepsSlackResident)
     EXPECT_EQ(cold->lb_slack(i), quantized->lb_slack(i)) << i;
   EXPECT_EQ(cold->max_lb_slack(), quantized->max_lb_slack());
   EXPECT_EQ(cold->footprint().frame_misses, misses_before);
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "reduction/representation_store.h"
 #include "ts/io.h"
 #include "ts/synthetic_archive.h"
+#include "test_tmpdir.h"
 
 namespace sapla {
 namespace {
@@ -55,12 +56,12 @@ TEST(StoreIo, ReserializationIsByteIdentical) {
 
 TEST(StoreIo, FileRoundTrip) {
   const RepresentationStore store = MakeStore(Method::kSapla);
-  const char* path = "/tmp/sapla_store_io_test.bin";
+  const std::string path = TestPath("store_io_test.bin");
   ASSERT_TRUE(SaveRepresentationStore(path, store).ok());
   const auto loaded = LoadRepresentationStore(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(*loaded == store);
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(StoreIo, MigratesV1TextArchives) {

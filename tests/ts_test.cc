@@ -11,6 +11,7 @@
 #include "ts/synthetic_archive.h"
 #include "ts/time_series.h"
 #include "ts/ucr_loader.h"
+#include "test_tmpdir.h"
 
 namespace sapla {
 namespace {
@@ -62,7 +63,7 @@ TEST(Euclidean, KnownValues) {
 }
 
 TEST(UcrLoader, ParsesTsvWithLabels) {
-  const char* path = "/tmp/sapla_test_ucr.tsv";
+  const std::string path = TestPath("test_ucr.tsv");
   {
     std::ofstream f(path);
     f << "1\t0.5\t1.5\t2.5\t3.5\n";
@@ -78,11 +79,11 @@ TEST(UcrLoader, ParsesTsvWithLabels) {
   EXPECT_EQ(ds.series[0].label, 1);
   EXPECT_EQ(ds.series[1].label, 2);
   EXPECT_DOUBLE_EQ(ds.series[0].values[2], 2.5);
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(UcrLoader, AppliesResampleAndNormalize) {
-  const char* path = "/tmp/sapla_test_ucr2.tsv";
+  const std::string path = TestPath("test_ucr2.tsv");
   {
     std::ofstream f(path);
     f << "1,1,2,3,4,5,6,7,8\n";  // comma-separated variant
@@ -96,29 +97,29 @@ TEST(UcrLoader, AppliesResampleAndNormalize) {
   double mean = 0;
   for (double x : result->series[0].values) mean += x;
   EXPECT_NEAR(mean, 0.0, 1e-9);
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(UcrLoader, RejectsRaggedAndMissingFiles) {
   EXPECT_FALSE(LoadUcrDataset("/nonexistent/file.tsv").ok());
-  const char* path = "/tmp/sapla_test_ucr3.tsv";
+  const std::string path = TestPath("test_ucr3.tsv");
   {
     std::ofstream f(path);
     f << "1\t1\t2\t3\n";
     f << "1\t1\t2\n";
   }
   EXPECT_FALSE(LoadUcrDataset(path).ok());
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(UcrLoader, RejectsNonNumericCells) {
-  const char* path = "/tmp/sapla_test_ucr4.tsv";
+  const std::string path = TestPath("test_ucr4.tsv");
   {
     std::ofstream f(path);
     f << "1\t1\tfoo\t3\n";
   }
   EXPECT_FALSE(LoadUcrDataset(path).ok());
-  std::remove(path);
+  std::remove(path.c_str());
 }
 
 TEST(SyntheticArchive, DeterministicAcrossCalls) {

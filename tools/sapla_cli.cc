@@ -12,6 +12,10 @@
 //   sapla_cli explain   <data.tsv> [--query=0] [--k=5] [--method=SAPLA]
 //                       [--m=24] [--shards=1] [--json=0] [--trace-out=t.json]
 //
+// `sapla_cli <command> --help` prints that command's usage and exits 0
+// without touching any file; a positional argument starting with "--" is
+// rejected (exit 2).
+//
 // Every command accepts --threads=T (default 1): the index build fans the
 // per-series reduction across T threads, and `knn` with --queries runs the
 // batch engine. --threads=0 uses the hardware concurrency.
@@ -54,12 +58,46 @@
 namespace sapla {
 namespace {
 
+struct CommandUsage {
+  const char* name;
+  const char* synopsis;
+};
+
+constexpr CommandUsage kCommands[] = {
+    {"info", "<data.tsv>"},
+    {"reduce",
+     "<data.tsv> [--method=SAPLA] [--m=24] [--out=reps.txt] "
+     "[--format=v1|v2|v4] [--quant-ab=STEP] [--quant-coeff=STEP]"},
+    {"reconstruct", "<reps.txt|reps.bin> [--out=recon.tsv]"},
+    {"knn",
+     "<data.tsv> [--query=0 | --queries=0,3,7] [--k=5] [--method=SAPLA] "
+     "[--m=24] [--tree=dbch|rtree]"},
+    {"motif", "<data.tsv> [--row=0] [--window=64] [--m=24] [--stride=1]"},
+    {"synth", "<out.tsv> [--dataset=0] [--length=256] [--series=40]"},
+    {"explain",
+     "<data.tsv> [--query=0] [--k=5] [--method=SAPLA] [--m=24] "
+     "[--shards=1] [--json=0] [--trace-out=t.json]"},
+};
+
+const CommandUsage* FindCommand(const std::string& name) {
+  for (const CommandUsage& c : kCommands)
+    if (name == c.name) return &c;
+  return nullptr;
+}
+
+void PrintCommandUsage(FILE* out, const CommandUsage& c) {
+  fprintf(out, "usage: sapla_cli %s %s [--threads=T] [--fault=SPEC]\n",
+          c.name, c.synopsis);
+}
+
 [[noreturn]] void Usage() {
   fprintf(stderr,
           "usage: sapla_cli <info|reduce|reconstruct|knn|motif|synth|explain> "
           "<file> [--key=value ...]\n");
   exit(2);
 }
+
+bool IsHelp(const std::string& arg) { return arg == "--help" || arg == "-h"; }
 
 /// Strict size_t parse: the whole token must be digits. A typo'd numeric
 /// flag is a hard error, never silently zero (the old strtoull behaviour).
@@ -103,7 +141,35 @@ struct Args {
 };
 
 Args Parse(int argc, char** argv) {
-  if (argc < 3) Usage();
+  if (argc == 2 && IsHelp(argv[1])) {
+    printf("usage: sapla_cli <command> <file> [--key=value ...]\n");
+    for (const CommandUsage& c : kCommands)
+      printf("  sapla_cli %s %s\n", c.name, c.synopsis);
+    exit(0);
+  }
+  if (argc < 2) Usage();
+  const CommandUsage* command = FindCommand(argv[1]);
+  if (command == nullptr) Usage();
+  // --help anywhere after the command prints that command's usage and does
+  // nothing else: no file is read or written.
+  for (int i = 2; i < argc; ++i) {
+    if (IsHelp(argv[i])) {
+      PrintCommandUsage(stdout, *command);
+      exit(0);
+    }
+  }
+  if (argc < 3) {
+    PrintCommandUsage(stderr, *command);
+    exit(2);
+  }
+  // The positional argument is a file name; a flag in its place is a
+  // mistake, never a file to read or create.
+  if (std::string(argv[2]).rfind("--", 0) == 0) {
+    fprintf(stderr, "sapla_cli %s: expected a file, got '%s'\n", argv[1],
+            argv[2]);
+    PrintCommandUsage(stderr, *command);
+    exit(2);
+  }
   // Every flag any command understands; an unrecognized flag is a hard
   // error instead of a silently ignored typo.
   static const char* kKnownFlags[] = {
@@ -392,13 +458,17 @@ int CmdExplain(const Args& args) {
     printf("  stage %-12s %8llu us\n", stage.stage.c_str(),
            static_cast<unsigned long long>(stage.dur_us));
   for (const obs::ShardExplain& part : explain.parts)
-    printf("  part  %-12s %8llu us  %s  %zu results  %llu lb evals  "
-           "%llu measured\n",
+    printf("  part  %-12s %8llu us  %s  %zu results  %llu node bounds  "
+           "%llu lb evals  %llu measured\n",
            part.part.c_str(), static_cast<unsigned long long>(part.dur_us),
            obs::ExplainHealthName(part.health), part.results,
+           static_cast<unsigned long long>(
+               part.counters.node_bound_evaluations),
            static_cast<unsigned long long>(part.counters.lb_evaluations),
            static_cast<unsigned long long>(part.counters.exact_evaluations));
-  printf("totals: %llu lb evals, %llu raw distances\n",
+  printf("totals: %llu node bounds, %llu lb evals, %llu raw distances\n",
+         static_cast<unsigned long long>(
+             explain.counters.node_bound_evaluations),
          static_cast<unsigned long long>(explain.counters.lb_evaluations),
          static_cast<unsigned long long>(explain.counters.exact_evaluations));
   return 0;
