@@ -1,16 +1,12 @@
 // Benchmarks for the extension modules (beyond the paper's evaluation):
-//   1. iSAX index vs the paper's R-tree/DBCH-tree stack (pruning, CPU).
-//   2. Sliding-window subsequence search + motif discovery throughput.
-//   3. Streaming SAPLA vs batch SAPLA (quality and per-point cost).
+//   1. Sliding-window subsequence search + motif discovery throughput.
+//   2. Streaming SAPLA vs batch SAPLA (quality and per-point cost).
 
 #include <cstdio>
 
 #include "core/sapla.h"
 #include "core/streaming_sapla.h"
 #include "harness_common.h"
-#include "index/isax_tree.h"
-#include "search/knn.h"
-#include "search/metrics.h"
 #include "search/subsequence.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -19,58 +15,6 @@
 namespace sapla {
 namespace bench {
 namespace {
-
-void RunIsaxComparison(const HarnessConfig& config) {
-  const size_t m = config.budgets.front();
-  const size_t k = 8;
-  struct Row {
-    SummaryStats rho, acc, seconds;
-  };
-  Row sapla_dbch, isax_exact, isax_approx;
-
-  const size_t num_datasets = std::min<size_t>(config.num_datasets, 40);
-  for (size_t d = 0; d < num_datasets; ++d) {
-    const Dataset ds = MakeDataset(config, d);
-    SimilarityIndex dbch(Method::kSapla, m, IndexKind::kDbchTree);
-    IsaxIndex isax;
-    if (!dbch.Build(ds).ok() || !isax.Build(ds).ok()) continue;
-    for (const size_t qi : QueryIndices(config, d)) {
-      const std::vector<double>& q = ds.series[qi].values;
-      const KnnResult truth = LinearScanKnn(ds, q, k);
-      {
-        CpuTimer t;
-        const KnnResult r = dbch.Knn(q, k);
-        sapla_dbch.seconds.Add(t.Seconds());
-        sapla_dbch.rho.Add(PruningPower(r, ds.size()));
-        sapla_dbch.acc.Add(Accuracy(r, truth, k));
-      }
-      {
-        CpuTimer t;
-        const KnnResult r = isax.Knn(q, k);
-        isax_exact.seconds.Add(t.Seconds());
-        isax_exact.rho.Add(PruningPower(r, ds.size()));
-        isax_exact.acc.Add(Accuracy(r, truth, k));
-      }
-      {
-        CpuTimer t;
-        const KnnResult r = isax.KnnApproximate(q, k);
-        isax_approx.seconds.Add(t.Seconds());
-        isax_approx.rho.Add(PruningPower(r, ds.size()));
-        isax_approx.acc.Add(Accuracy(r, truth, k));
-      }
-    }
-  }
-  Table t("Extension: SAPLA+DBCH vs iSAX (K=8, M=" + std::to_string(m) + ")");
-  t.SetHeader({"Index", "PruningPower", "Accuracy", "CPU s/query"});
-  auto row = [&](const char* name, const Row& r) {
-    t.AddRow({name, Table::Num(r.rho.mean(), 3), Table::Num(r.acc.mean(), 3),
-              Table::Num(r.seconds.mean(), 3)});
-  };
-  row("SAPLA + DBCH-tree (exact)", sapla_dbch);
-  row("iSAX (exact)", isax_exact);
-  row("iSAX (approximate, 1 leaf)", isax_approx);
-  t.Print(config.CsvPath("ext_isax"));
-}
 
 void RunSubsequence(const HarnessConfig& config) {
   // One long recording built from a dataset's series laid end to end.
@@ -151,7 +95,6 @@ void RunStreaming(const HarnessConfig& config) {
 
 int Run(int argc, char** argv) {
   const HarnessConfig config = ParseFlags(argc, argv);
-  RunIsaxComparison(config);
   RunSubsequence(config);
   RunStreaming(config);
   return 0;

@@ -11,8 +11,12 @@
 //   --n=256 --series=100 --datasets=4 --queries=3 --budgets=16
 //   --json=BENCH_footprint.json   (default; Table::WriteJson format)
 
+#include <stdlib.h>
+
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -30,6 +34,23 @@ namespace bench {
 namespace {
 
 constexpr size_t kK = 8;
+
+// A directory that mkdtemp creates under $TMPDIR (default /tmp), removed
+// with everything in it when the object goes out of scope. `path` is empty
+// when the directory could not be created.
+struct ScratchDir {
+  std::string path;
+  ScratchDir() {
+    const char* base = std::getenv("TMPDIR");
+    path = std::string(base != nullptr && *base != '\0' ? base : "/tmp") +
+           "/sapla_bench_footprint_XXXXXX";
+    if (::mkdtemp(path.data()) == nullptr) path.clear();
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+};
 
 struct Level {
   const char* label;
@@ -163,7 +184,12 @@ int Run(int argc, char** argv) {
   // v4 snapshot with a decode cache a quarter of the archive — the shard
   // answers bit-identically while most of the store stays on disk.
   {
-    const std::string path = "/tmp/sapla_bench_footprint.snp";
+    const ScratchDir dir;
+    if (dir.path.empty()) {
+      perror("FATAL: mkdtemp");
+      return 1;
+    }
+    const std::string path = dir.path + "/footprint.snp";
     SnapshotWriteOptions write;
     write.codec.ab_step = 1e-3;
     write.codec.coeff_step = 1e-3;
@@ -197,7 +223,6 @@ int Run(int argc, char** argv) {
            static_cast<unsigned long long>(fp.frame_hits),
            static_cast<unsigned long long>(fp.frame_misses),
            cold_ids_identical ? "yes" : "NO");
-    std::remove(path.c_str());
     if (!cold_ids_identical) {
       fprintf(stderr, "FATAL: cold store changed a kNN answer\n");
       return 1;

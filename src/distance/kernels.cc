@@ -18,16 +18,7 @@ const std::vector<double>& CachedBreakpoints(size_t alphabet,
   return scratch->sax_breakpoints;
 }
 
-// Segment-column accessors: the AoS-vs-SoA layout branch is resolved ONCE
-// per pair (per batch, for the batched kernels) by instantiating the core
-// loops on one of these, instead of branching on every field read.
-struct AosSegs {
-  const LinearSegment* s;
-  double a(size_t i) const { return s[i].a; }
-  double b(size_t i) const { return s[i].b; }
-  size_t r(size_t i) const { return s[i].r; }
-};
-
+// One series' segment columns.
 struct SoaSegs {
   const double* a_;
   const double* b_;
@@ -37,15 +28,15 @@ struct SoaSegs {
   size_t r(size_t i) const { return static_cast<size_t>(r_[i]); }
 };
 
-// Dist_PAR core over any pair of layouts, in one pass. Both endpoint lists
+// Dist_PAR core over two segment lists, in one pass. Both endpoint lists
 // are sorted and end at n-1, so stepping to the smaller of the two current
 // endpoints visits exactly the sorted union UnionEndpoints materializes,
 // and both lists run out together. Each re-cut line is
 // (a, a * offset + b) exactly as PartitionAt emits it, and the terms are
 // summed in the same ascending order, so the result is bit-identical to
 // DistPar over the equivalent Representations.
-template <typename QSegs, typename CSegs>
-double DistParCore(const QSegs& q, size_t nq, const CSegs& c, size_t nc) {
+double DistParCore(const SoaSegs& q, size_t nq, const SoaSegs& c,
+                   [[maybe_unused]] size_t nc) {
   double sum = 0.0;
   size_t start = 0;
   size_t iq = 0, ic = 0;
@@ -74,30 +65,22 @@ double DistParCore(const QSegs& q, size_t nq, const CSegs& c, size_t nc) {
   return std::sqrt(sum);
 }
 
-// Dispatches one view's layout, passing the resolved accessor to `fn`.
-template <typename Fn>
-decltype(auto) WithSegs(const RepView& v, Fn&& fn) {
-  if (const LinearSegment* segs = v.aos_segments()) return fn(AosSegs{segs});
-  return fn(SoaSegs{v.soa_a(), v.soa_b(), v.soa_r()});
+SoaSegs SegsOf(const RepView& v) {
+  return SoaSegs{v.soa_a(), v.soa_b(), v.soa_r()};
 }
 
 }  // namespace
 
 double DistParView(const RepView& q, const RepView& c) {
   SAPLA_DCHECK(q.n() == c.n());
-  return WithSegs(q, [&](const auto& qs) {
-    return WithSegs(c, [&](const auto& cs) {
-      return DistParCore(qs, q.num_segments(), cs, c.num_segments());
-    });
-  });
+  return DistParCore(SegsOf(q), q.num_segments(), SegsOf(c),
+                     c.num_segments());
 }
 
 double DistLbView(const PrefixFitter& query_fitter, const RepView& c) {
   SAPLA_DCHECK(query_fitter.size() == c.n());
   // Mirrors DistLb (distance/distance.cc): project the raw query onto the
-  // data's endpoints in the method's function space. The AoS-vs-SoA layout
-  // branch is hoisted out of the loop — this runs once per corpus entry on
-  // every query, and the per-access branch costs ~20% at typical budgets.
+  // data's endpoints in the method's function space.
   const Method method = c.method();
   const bool constant_model =
       method == Method::kApca || method == Method::kPaa ||
@@ -117,16 +100,11 @@ double DistLbView(const PrefixFitter& query_fitter, const RepView& c) {
     start = r + 1;
   };
   const size_t num_segments = c.num_segments();
-  if (const LinearSegment* segs = c.aos_segments()) {
-    for (size_t i = 0; i < num_segments; ++i)
-      accumulate(segs[i].a, segs[i].b, segs[i].r);
-  } else {
-    const double* a = c.soa_a();
-    const double* b = c.soa_b();
-    const uint32_t* r = c.soa_r();
-    for (size_t i = 0; i < num_segments; ++i)
-      accumulate(a[i], b[i], static_cast<size_t>(r[i]));
-  }
+  const double* a = c.soa_a();
+  const double* b = c.soa_b();
+  const uint32_t* r = c.soa_r();
+  for (size_t i = 0; i < num_segments; ++i)
+    accumulate(a[i], b[i], static_cast<size_t>(r[i]));
   return std::sqrt(sum);
 }
 
@@ -291,22 +269,21 @@ void LowerBoundDistanceBatch(const RepView& q, const RepresentationStore& store,
     }
     return;
   }
-  // Segment methods take the Dist_PAR branch; resolve the query's layout
-  // once for the whole batch and feed each corpus slice straight from the
-  // contiguous columns — no per-entry RepView construction.
+  // Segment methods take the Dist_PAR branch; feed each corpus slice
+  // straight from the contiguous columns — no per-entry RepView
+  // construction.
   const uint64_t* off = store.seg_offsets().data();
   const double* a = store.a_column().data();
   const double* b = store.b_column().data();
   const uint32_t* r = store.r_column().data();
+  const SoaSegs qs = SegsOf(q);
   const size_t nq = q.num_segments();
-  WithSegs(q, [&](const auto& qs) {
-    for (size_t j = 0; j < count; ++j) {
-      const size_t id = ids ? ids[j] : j;
-      const uint64_t s0 = off[id];
-      out[j] = DistParCore(qs, nq, SoaSegs{a + s0, b + s0, r + s0},
-                           static_cast<size_t>(off[id + 1] - s0));
-    }
-  });
+  for (size_t j = 0; j < count; ++j) {
+    const size_t id = ids ? ids[j] : j;
+    const uint64_t s0 = off[id];
+    out[j] = DistParCore(qs, nq, SoaSegs{a + s0, b + s0, r + s0},
+                         static_cast<size_t>(off[id + 1] - s0));
+  }
 }
 
 }  // namespace sapla

@@ -38,16 +38,8 @@ class FeatureMapper {
   /// box. For the APCA-family mapping the value dims span the segment's RAW
   /// min/max (Keogh's construction — this is what makes the region MINDIST
   /// a true lower bound), so the raw series is required; PLA and CHEBY
-  /// produce point boxes from the coefficients alone. Both corpus layouts
-  /// (columnar store slices and borrowed Representations) go through this
-  /// one implementation, so the boxes — and therefore the built trees —
-  /// are identical between them.
+  /// produce point boxes from the coefficients alone.
   Box MapBox(const RepView& rep, const std::vector<double>& raw) const;
-
-  /// Convenience over the AoS interchange type.
-  Box MapBox(const Representation& rep, const std::vector<double>& raw) const {
-    return MapBox(RepView::Of(rep), raw);
-  }
 
   /// Lower-bound distance from a query to the axis-aligned box [lo, hi].
   /// `query_raw` is the raw series (used by the APCA region MINDIST);
@@ -55,14 +47,6 @@ class FeatureMapper {
   double MinDist(const std::vector<double>& query_raw, const RepView& query_rep,
                  const std::vector<double>& lo,
                  const std::vector<double>& hi) const;
-
-  /// Convenience over the AoS interchange type.
-  double MinDist(const std::vector<double>& query_raw,
-                 const Representation& query_rep,
-                 const std::vector<double>& lo,
-                 const std::vector<double>& hi) const {
-    return MinDist(query_raw, RepView::Of(query_rep), lo, hi);
-  }
 
  private:
   double ApcaRegionMinDist(const std::vector<double>& q,

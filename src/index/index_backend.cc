@@ -1,8 +1,6 @@
 #include "index/index_backend.h"
 
-#include <map>
-#include <mutex>
-#include <utility>
+#include <algorithm>
 
 #include "distance/kernels.h"
 #include "index/dbch_tree.h"
@@ -14,9 +12,7 @@ namespace {
 
 // R-tree adapter: series ids are mapped to per-method feature boxes
 // (APCA raw-range MBRs, PLA coefficient boxes, CHEBY clamp) and queries
-// prune with the mapper's MINDIST. Corpus access goes through
-// ctx.rep_view(id), so the adapter is agnostic to the columnar-vs-AoS
-// layout choice.
+// prune with the mapper's MINDIST.
 class RTreeBackend : public IndexBackend {
  public:
   explicit RTreeBackend(const IndexBackendContext& ctx)
@@ -133,32 +129,6 @@ class DbchBackend : public IndexBackend {
   DbchTree tree_;
 };
 
-std::mutex& RegistryMutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::map<std::string, IndexBackendFactory>& Registry() {
-  static auto* registry = [] {
-    auto* r = new std::map<std::string, IndexBackendFactory>;
-    (*r)["rtree"] = [](const IndexBackendContext& ctx) {
-      return std::unique_ptr<IndexBackend>(new RTreeBackend(ctx));
-    };
-    (*r)["dbch"] = [](const IndexBackendContext& ctx) {
-      return std::unique_ptr<IndexBackend>(new DbchBackend(ctx));
-    };
-    // Registration point for the iSAX extension (index/isax_tree.h): the
-    // adapter is pending (IsaxIndex symbolizes internally and has no
-    // per-method representation hook yet), so the name resolves but the
-    // factory yields no backend.
-    (*r)["isax"] = [](const IndexBackendContext&) {
-      return std::unique_ptr<IndexBackend>();
-    };
-    return r;
-  }();
-  return *registry;
-}
-
 }  // namespace
 
 std::string IndexKindName(IndexKind kind) {
@@ -167,60 +137,13 @@ std::string IndexKindName(IndexKind kind) {
 
 std::unique_ptr<IndexBackend> MakeIndexBackend(IndexKind kind,
                                                const IndexBackendContext& ctx) {
-  // The built-in kinds always resolve unless someone replaced their
-  // registration with a stub, which is a programming error.
-  return std::move(MakeIndexBackendByName(IndexKindName(kind), ctx))
-      .ValueOrDie();
-}
-
-void RegisterIndexBackend(const std::string& name,
-                          IndexBackendFactory factory) {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  Registry()[name] = std::move(factory);
-}
-
-namespace {
-
-std::string RegisteredNamesForError() {
-  std::string out;
-  for (const std::string& name : IndexBackendNames()) {
-    if (!out.empty()) out += ", ";
-    out += "\"" + name + "\"";
+  switch (kind) {
+    case IndexKind::kRTree:
+      return std::make_unique<RTreeBackend>(ctx);
+    case IndexKind::kDbchTree:
+      return std::make_unique<DbchBackend>(ctx);
   }
-  return out;
-}
-
-}  // namespace
-
-Result<std::unique_ptr<IndexBackend>> MakeIndexBackendByName(
-    const std::string& name, const IndexBackendContext& ctx) {
-  IndexBackendFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(RegistryMutex());
-    const auto it = Registry().find(name);
-    if (it != Registry().end()) factory = it->second;
-  }
-  if (!factory) {
-    return Status::InvalidArgument("unknown index backend \"" + name +
-                                   "\"; registered backends: " +
-                                   RegisteredNamesForError());
-  }
-  std::unique_ptr<IndexBackend> backend = factory(ctx);
-  if (backend == nullptr) {
-    return Status::InvalidArgument(
-        "index backend \"" + name +
-        "\" is registered but has no usable implementation (stub); "
-        "registered backends: " +
-        RegisteredNamesForError());
-  }
-  return backend;
-}
-
-std::vector<std::string> IndexBackendNames() {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  std::vector<std::string> names;
-  for (const auto& [name, factory] : Registry()) names.push_back(name);
-  return names;
+  return nullptr;
 }
 
 }  // namespace sapla

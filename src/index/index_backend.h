@@ -7,9 +7,8 @@
 // behind `if (rtree_) ... else dbch_` branches. IndexBackend abstracts what
 // the search layer actually needs from an index — insert one series id,
 // run a best-first branch-and-bound traversal for one query, report tree
-// statistics — so k-NN and range search have a single backend-agnostic
-// code path and new structures (iSAX, sharded trees, ...) plug in without
-// touching the search layer.
+// statistics — so every query kind has a single backend-agnostic code
+// path (SimilarityIndex::Search) over either tree.
 //
 // Concurrency contract: Insert is build-time-only and single-threaded. A
 // backend is immutable once SimilarityIndex::Build returns; from then on
@@ -36,19 +35,13 @@ namespace sapla {
 /// search/knn.h; lives here so backends do not depend on the search layer.)
 enum class IndexKind { kRTree, kDbchTree };
 
-/// Registry name of a kind ("rtree" / "dbch").
+/// Name of a kind ("rtree" / "dbch"); also the backend's name().
 std::string IndexKindName(IndexKind kind);
 
 /// Tree fill factors; defaults follow the paper's §6 setup (min 2, max 5).
 struct IndexBackendOptions {
   size_t min_fill = 2;
   size_t max_fill = 5;
-  /// Keep the corpus in the legacy AoS `std::vector<Representation>`
-  /// layout instead of the columnar RepresentationStore. Both layouts run
-  /// the identical RepView kernels and produce bit-identical results
-  /// (tests/store_parity_test.cc); this knob exists for that A/B
-  /// validation and for migration benchmarking, not for production use.
-  bool legacy_aos_corpus = false;
   /// DBCH only: search with the sound endpoint-radius node distance instead
   /// of the paper's §5.3 heuristic (see index/dbch_tree.h). Makes DBCH
   /// answers exact (partition-invariant), which the sharded serving tier
@@ -59,38 +52,27 @@ struct IndexBackendOptions {
 /// \brief What a backend is built over: the dataset, its reductions, and
 /// the method configuration. The pointed-to objects are owned by the
 /// caller (SimilarityIndex) and must outlive the backend; backends resolve
-/// ids through them at call time, never copy them. Exactly one of `store`
-/// (columnar, canonical) and `reps` (legacy AoS interchange) is non-null.
+/// ids through them at call time, never copy them.
 struct IndexBackendContext {
   Method method = Method::kSapla;
-  size_t m = 0;                                       ///< coefficient budget
-  const Dataset* dataset = nullptr;                   ///< raw series by id
-  const RepresentationStore* store = nullptr;         ///< columnar reductions
-  const std::vector<Representation>* reps = nullptr;  ///< legacy AoS corpus
+  size_t m = 0;                                ///< coefficient budget
+  const Dataset* dataset = nullptr;            ///< raw series by id
+  const RepresentationStore* store = nullptr;  ///< columnar reductions
   IndexBackendOptions options;
 
-  /// View of series `id`'s reduction, over whichever corpus layout is set.
-  /// Valid for hot stores and the AoS layout only; cold (mmap-backed)
-  /// stores require the pinned overload below.
-  RepView rep_view(size_t id) const {
-    return store != nullptr ? store->view(id) : RepView::Of((*reps)[id]);
-  }
-
-  /// Pin-aware view: works for every residency. For cold stores `pin`
-  /// keeps the decoded frame alive for as long as the returned view is
-  /// used; for hot stores and the AoS layout it is left untouched.
+  /// View of series `id`'s reduction; works for every residency. For cold
+  /// stores `pin` keeps the decoded frame alive for as long as the returned
+  /// view is used; for hot stores it is left untouched.
   RepView rep_view(size_t id, StoreReadPin* pin) const {
-    return store != nullptr ? store->view(id, pin) : RepView::Of((*reps)[id]);
+    return store->view(id, pin);
   }
 
   /// Largest per-series lower-bound slack across the corpus (0 for
-  /// lossless stores and the AoS layout). Node-level bounds measured
-  /// against quantized representations can exceed the true lower bound by
-  /// up to this much, so backends must subtract it before pruning
-  /// (reduction/column_codec.h explains the soundness argument).
-  double max_lb_slack() const {
-    return store != nullptr ? store->max_lb_slack() : 0.0;
-  }
+  /// lossless stores). Node-level bounds measured against quantized
+  /// representations can exceed the true lower bound by up to this much,
+  /// so backends must subtract it before pruning (reduction/column_codec.h
+  /// explains the soundness argument).
+  double max_lb_slack() const { return store->max_lb_slack(); }
 };
 
 /// \brief Abstract index structure over series ids.
@@ -102,7 +84,7 @@ class IndexBackend {
 
   virtual ~IndexBackend() = default;
 
-  /// Registry name of this backend ("rtree", "dbch", ...).
+  /// IndexKindName of this backend's kind.
   virtual std::string name() const = 0;
 
   /// Inserts series `id` (its representation and raw values are resolved
@@ -145,28 +127,9 @@ class IndexBackend {
   }
 };
 
-/// Creates a backend for one of the built-in kinds.
+/// Creates the backend of `kind` over `ctx`.
 std::unique_ptr<IndexBackend> MakeIndexBackend(IndexKind kind,
                                                const IndexBackendContext& ctx);
-
-/// Factory signature for registered backends. May return nullptr when the
-/// backend is registered but not yet usable (a stub).
-using IndexBackendFactory =
-    std::function<std::unique_ptr<IndexBackend>(const IndexBackendContext&)>;
-
-/// Registers (or replaces) a named backend factory. Thread-safe.
-void RegisterIndexBackend(const std::string& name, IndexBackendFactory factory);
-
-/// Instantiates a registered backend by name. Unknown names and registered
-/// stubs (a factory that yields no backend — currently "isax", pending an
-/// IndexBackend adapter for IsaxIndex) return InvalidArgument whose message
-/// names the offender and lists every registered backend, so callers can
-/// surface an actionable error. Built-ins: "rtree", "dbch".
-Result<std::unique_ptr<IndexBackend>> MakeIndexBackendByName(
-    const std::string& name, const IndexBackendContext& ctx);
-
-/// Names of every registered backend (including stubs), sorted.
-std::vector<std::string> IndexBackendNames();
 
 }  // namespace sapla
 

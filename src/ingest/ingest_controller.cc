@@ -8,13 +8,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
-#include <queue>
 #include <utility>
 
-#include "distance/kernels.h"
-#include "geom/line_fit.h"
 #include "obs/trace.h"
+#include "search/filter_refine.h"
 #include "ts/io.h"
 #include "util/binio.h"
 #include "util/crc32c.h"
@@ -36,43 +33,6 @@ uint64_t Mix64(uint64_t x) {
 std::atomic<uint64_t> g_instance_counter{0x1A6E57u};
 
 uint64_t NextInstanceId() { return Mix64(g_instance_counter.fetch_add(1)); }
-
-// Max-heap of the k best (distance, id) pairs with the repo-wide
-// lexicographic (distance, id) tie-break — the same semantics as the TopK
-// in search/knn.cc, reproduced here for the memtable scan and the merge.
-class TopK {
- public:
-  explicit TopK(size_t k) : k_(k) {}
-
-  void Offer(double dist, size_t id) {
-    if (k_ == 0) return;
-    if (heap_.size() < k_) {
-      heap_.emplace(dist, id);
-    } else if (std::make_pair(dist, id) < heap_.top()) {
-      heap_.pop();
-      heap_.emplace(dist, id);
-    }
-  }
-
-  double Bound() const {
-    return heap_.size() < k_ ? std::numeric_limits<double>::infinity()
-                             : heap_.top().first;
-  }
-
-  std::vector<std::pair<double, size_t>> Sorted() const {
-    std::vector<std::pair<double, size_t>> v(heap_.size());
-    auto copy = heap_;
-    for (size_t i = v.size(); i-- > 0;) {
-      v[i] = copy.top();
-      copy.pop();
-    }
-    return v;
-  }
-
- private:
-  size_t k_;
-  std::priority_queue<std::pair<double, size_t>> heap_;
-};
 
 bool Tombstoned(const std::vector<uint64_t>& tombstones, uint64_t id) {
   return std::binary_search(tombstones.begin(), tombstones.end(), id);
@@ -96,9 +56,8 @@ IngestController::IngestController(Method method, size_t m, IndexKind kind,
       instance_id_(NextInstanceId()) {
   // The multi-generation merge is a partition of the visible set, so every
   // generation must answer exactly — force the sound DBCH regime just like
-  // ShardedIndex, and the columnar layout (RestoreFromStore needs it).
+  // ShardedIndex.
   options_.index.dbch_sound_bounds = true;
-  options_.index.legacy_aos_corpus = false;
   reducer_ = MakeReducer(method_);
   if (options_.streaming_reduction && method_ == Method::kSapla) {
     streamer_ =
@@ -749,172 +708,26 @@ Status IngestController::Checkpoint() {
 // Query path: pin the epoch once, scatter over main + minors + memtable,
 // filter tombstones, merge under the (distance, global id) order.
 
-KnnResult IngestController::MemtableKnn(const Memtable& mem,
-                                        const std::vector<uint64_t>& tombstones,
-                                        const std::vector<double>& query,
-                                        size_t k) const {
-  KnnResult result;
-  SearchCounters& c = result.counters;
-  const size_t n = mem.entries.size();
-  if (n == 0 || k == 0) return result;
-  // The same filter-and-refine arithmetic as SimilarityIndex::Knn — the
-  // reduced query, Dist_LB filter and EuclideanDistance refinement — so
-  // measured distances are bit-identical to any other path over the same
-  // raw series.
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
-  DistanceScratch scratch;
-  TopK top(k);
-  for (size_t i = 0; i < n; ++i) {
-    if (Tombstoned(tombstones, mem.entries[i].id)) {
-      ++c.entries_pruned_node;  // invisible: skipped before any evaluation
-      continue;
-    }
-    const double lb =
-        FilterDistanceView(query_fitter, query_rep, mem.store.view(i),
-                           &scratch);
-    ++c.lb_evaluations;
-    if (lb <= top.Bound()) {
-      const double exact = EuclideanDistance(query, mem.entries[i].values);
-      ++result.num_measured;
-      ++c.exact_evaluations;
-      if (exact > 0.0) {
-        c.lb_tightness_sum += lb / exact;
-        ++c.lb_tightness_count;
-      }
-      top.Offer(exact, static_cast<size_t>(mem.entries[i].id));
-    } else {
-      ++c.entries_pruned_leaf;
-    }
-  }
-  c.cascade_stage = c.exact_evaluations > 0 ? CascadeStage::kExact
-                    : c.lb_evaluations > 0  ? CascadeStage::kLeafFilter
-                                            : CascadeStage::kNodePrune;
-  result.neighbors = top.Sorted();
-  return result;
-}
-
-KnnResult IngestController::MemtableKnnLowerBound(
+KnnResult IngestController::MemtableSearch(
     const Memtable& mem, const std::vector<uint64_t>& tombstones,
-    const std::vector<double>& query, size_t k) const {
-  KnnResult result;
-  SearchCounters& c = result.counters;
+    const std::vector<double>& query, const QuerySpec& spec) const {
   const size_t n = mem.entries.size();
-  if (n == 0 || k == 0) return result;
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
-  DistanceScratch scratch;
-  TopK top(k);
+  if (n == 0 || (spec.knn() && spec.k == 0)) return KnnResult{};
+  FilterRefine step(*reducer_, m_, query, spec);
   for (size_t i = 0; i < n; ++i) {
-    if (Tombstoned(tombstones, mem.entries[i].id)) {
-      ++c.entries_pruned_node;
-      continue;
-    }
-    const double lb = FilterDistanceView(query_fitter, query_rep,
-                                         mem.store.view(i), &scratch);
-    ++c.lb_evaluations;
-    top.Offer(lb, static_cast<size_t>(mem.entries[i].id));
+    const MemEntry& entry = mem.entries[i];
+    // Invisible entries are skipped before any evaluation.
+    if (!Tombstoned(tombstones, entry.id))
+      step.Visit(mem.store, i, nullptr, entry.values,
+                 static_cast<size_t>(entry.id));
   }
-  c.cascade_stage = c.lb_evaluations > 0 ? CascadeStage::kLeafFilter
-                                         : CascadeStage::kNodePrune;
-  result.neighbors = top.Sorted();
-  return result;
+  return step.Finish(n);
 }
 
-KnnResult IngestController::MemtableRange(const Memtable& mem,
-                                          const std::vector<uint64_t>& tombstones,
-                                          const std::vector<double>& query,
-                                          double radius,
-                                          bool lower_bound_only) const {
-  KnnResult result;
-  SearchCounters& c = result.counters;
-  const size_t n = mem.entries.size();
-  if (n == 0) return result;
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
-  DistanceScratch scratch;
-  for (size_t i = 0; i < n; ++i) {
-    if (Tombstoned(tombstones, mem.entries[i].id)) {
-      ++c.entries_pruned_node;
-      continue;
-    }
-    const double lb = FilterDistanceView(query_fitter, query_rep,
-                                         mem.store.view(i), &scratch);
-    ++c.lb_evaluations;
-    const size_t gid = static_cast<size_t>(mem.entries[i].id);
-    if (lower_bound_only) {
-      if (lb <= radius) result.neighbors.emplace_back(lb, gid);
-      continue;
-    }
-    if (lb <= radius) {
-      const double exact = EuclideanDistance(query, mem.entries[i].values);
-      ++result.num_measured;
-      ++c.exact_evaluations;
-      if (exact > 0.0) {
-        c.lb_tightness_sum += lb / exact;
-        ++c.lb_tightness_count;
-      }
-      if (exact <= radius) result.neighbors.emplace_back(exact, gid);
-    } else {
-      ++c.entries_pruned_leaf;
-    }
-  }
-  c.cascade_stage = c.exact_evaluations > 0 ? CascadeStage::kExact
-                    : c.lb_evaluations > 0  ? CascadeStage::kLeafFilter
-                                            : CascadeStage::kNodePrune;
-  std::sort(result.neighbors.begin(), result.neighbors.end());
-  return result;
-}
-
-namespace {
-
-/// Folds one generation's answer into the merged result, remapping local
-/// ids through `ids` and dropping tombstoned entries.
-void AccumulateFiltered(const KnnResult& part, const std::vector<uint64_t>& ids,
-                        const std::vector<uint64_t>& tombstones,
-                        KnnResult* out) {
-  for (const auto& [dist, local] : part.neighbors) {
-    const uint64_t gid = ids[local];
-    if (!Tombstoned(tombstones, gid))
-      out->neighbors.emplace_back(dist, static_cast<size_t>(gid));
-  }
-  out->num_measured += part.num_measured;
-  out->counters.Add(part.counters);
-  out->approximate = out->approximate || part.approximate;
-}
-
-/// Folds a memtable answer (already global ids, already filtered).
-void AccumulateDirect(const KnnResult& part, KnnResult* out) {
-  out->neighbors.insert(out->neighbors.end(), part.neighbors.begin(),
-                        part.neighbors.end());
-  out->num_measured += part.num_measured;
-  out->counters.Add(part.counters);
-  out->approximate = out->approximate || part.approximate;
-}
-
-}  // namespace
-
-KnnResult IngestController::Knn(const std::vector<double>& query,
-                                size_t k) const {
-  return KnnWithExplain(query, k, nullptr);
-}
-
-KnnResult IngestController::KnnExplain(const std::vector<double>& query,
-                                       size_t k,
-                                       obs::QueryExplain* explain) const {
-  return KnnWithExplain(query, k, explain);
-}
-
-KnnResult IngestController::KnnWithExplain(const std::vector<double>& query,
-                                           size_t k,
-                                           obs::QueryExplain* explain) const {
-  SAPLA_TRACE_SPAN("ingest/knn");
+KnnResult IngestController::Search(const std::vector<double>& query,
+                                   const QuerySpec& spec,
+                                   obs::QueryExplain* explain) const {
+  SAPLA_TRACE_SPAN(spec.knn() ? "ingest/knn" : "ingest/range");
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed_us = [](std::chrono::steady_clock::time_point since) {
     return static_cast<uint64_t>(
@@ -922,50 +735,59 @@ KnnResult IngestController::KnnWithExplain(const std::vector<double>& query,
             std::chrono::steady_clock::now() - since)
             .count());
   };
-  // One explain part per generation the query touches. The part counters
-  // come from the raw per-generation results — tombstone filtering drops
-  // neighbors, never counters — so their sum equals the merged counters.
-  const auto add_part = [explain](const char* name, const KnnResult& part,
-                                  uint64_t dur_us) {
-    if (explain == nullptr) return;
-    obs::ShardExplain p;
-    p.part = name;
-    p.dur_us = dur_us;
-    p.results = part.neighbors.size();
-    p.counters = part.counters;
-    explain->parts.push_back(std::move(p));
-  };
-
   KnnResult out;
-  if (k == 0) return out;
+  if (spec.knn() && spec.k == 0) return out;
   const auto e = PinEpoch();
   // Over-fetch: a generation's top (k + |tombstones|) minus the tombstoned
   // entries still contains its top-k visible answers, so the filtered
-  // union provably contains the global visible top-k.
-  const size_t k_eff = k + e->tombstones.size();
+  // union provably contains the global visible top-k. The memtable filters
+  // its tombstones before ranking and needs no over-fetch.
+  QuerySpec sealed_spec = spec;
+  if (spec.knn()) sealed_spec.k += e->tombstones.size();
+  // Folds one generation's answer into `out`, remapping local ids through
+  // `ids` (null: already global and filtered) and dropping tombstoned
+  // entries. One explain part per generation; the part counters come from
+  // the raw per-generation results — tombstone filtering drops neighbors,
+  // never counters — so their sum equals the merged counters.
+  const auto fold = [&](const std::string& name, const KnnResult& part,
+                        const std::vector<uint64_t>* ids,
+                        std::chrono::steady_clock::time_point g0) {
+    if (explain != nullptr) {
+      obs::ShardExplain p;
+      p.part = name;
+      p.dur_us = elapsed_us(g0);
+      p.results = part.neighbors.size();
+      p.counters = part.counters;
+      explain->parts.push_back(std::move(p));
+    }
+    for (const auto& [dist, local] : part.neighbors) {
+      const uint64_t gid = ids == nullptr ? local : (*ids)[local];
+      if (ids == nullptr || !Tombstoned(e->tombstones, gid))
+        out.neighbors.emplace_back(dist, static_cast<size_t>(gid));
+    }
+    out.num_measured += part.num_measured;
+    out.counters.Add(part.counters);
+    out.approximate = out.approximate || part.approximate;
+  };
   if (e->main) {
     const auto g0 = std::chrono::steady_clock::now();
-    const KnnResult part = e->main->index->Knn(query, k_eff);
-    add_part("main", part, elapsed_us(g0));
-    AccumulateFiltered(part, e->main->ids, e->tombstones, &out);
+    fold("main", e->main->index->Search(query, sealed_spec, nullptr),
+         &e->main->ids, g0);
   }
   for (size_t g = 0; g < e->minors.size(); ++g) {
     const auto g0 = std::chrono::steady_clock::now();
-    const KnnResult part = e->minors[g]->index->Knn(query, k_eff);
-    if (explain != nullptr) {
-      const std::string name = "minor" + std::to_string(g);
-      add_part(name.c_str(), part, elapsed_us(g0));
-    }
-    AccumulateFiltered(part, e->minors[g]->ids, e->tombstones, &out);
+    fold("minor" + std::to_string(g),
+         e->minors[g]->index->Search(query, sealed_spec, nullptr),
+         &e->minors[g]->ids, g0);
   }
   {
     const auto g0 = std::chrono::steady_clock::now();
-    const KnnResult part = MemtableKnn(*e->memtable, e->tombstones, query, k);
-    add_part("memtable", part, elapsed_us(g0));
-    AccumulateDirect(part, &out);
+    fold("memtable", MemtableSearch(*e->memtable, e->tombstones, query, spec),
+         nullptr, g0);
   }
   std::sort(out.neighbors.begin(), out.neighbors.end());
-  if (out.neighbors.size() > k) out.neighbors.resize(k);
+  if (spec.knn() && out.neighbors.size() > spec.k)
+    out.neighbors.resize(spec.k);
   if (explain != nullptr) {
     explain->trace_id = obs::CurrentTraceContext().trace_id;
     explain->total_us = elapsed_us(t0);
@@ -975,107 +797,6 @@ KnnResult IngestController::KnnWithExplain(const std::vector<double>& query,
     explain->stages.push_back({"generations", explain->total_us});
   }
   return out;
-}
-
-KnnResult IngestController::KnnLowerBound(const std::vector<double>& query,
-                                          size_t k) const {
-  SAPLA_TRACE_SPAN("ingest/knn_lb");
-  KnnResult out;
-  if (k == 0) return out;
-  const auto e = PinEpoch();
-  const size_t k_eff = k + e->tombstones.size();
-  if (e->main)
-    AccumulateFiltered(e->main->index->KnnLowerBound(query, k_eff),
-                       e->main->ids, e->tombstones, &out);
-  for (const auto& minor : e->minors)
-    AccumulateFiltered(minor->index->KnnLowerBound(query, k_eff), minor->ids,
-                       e->tombstones, &out);
-  AccumulateDirect(
-      MemtableKnnLowerBound(*e->memtable, e->tombstones, query, k), &out);
-  std::sort(out.neighbors.begin(), out.neighbors.end());
-  if (out.neighbors.size() > k) out.neighbors.resize(k);
-  return out;
-}
-
-KnnResult IngestController::RangeSearch(const std::vector<double>& query,
-                                        double radius) const {
-  SAPLA_TRACE_SPAN("ingest/range");
-  KnnResult out;
-  const auto e = PinEpoch();
-  if (e->main)
-    AccumulateFiltered(e->main->index->RangeSearch(query, radius),
-                       e->main->ids, e->tombstones, &out);
-  for (const auto& minor : e->minors)
-    AccumulateFiltered(minor->index->RangeSearch(query, radius), minor->ids,
-                       e->tombstones, &out);
-  AccumulateDirect(
-      MemtableRange(*e->memtable, e->tombstones, query, radius,
-                    /*lower_bound_only=*/false),
-      &out);
-  std::sort(out.neighbors.begin(), out.neighbors.end());
-  return out;
-}
-
-KnnResult IngestController::RangeSearchLowerBound(
-    const std::vector<double>& query, double radius) const {
-  SAPLA_TRACE_SPAN("ingest/range_lb");
-  KnnResult out;
-  const auto e = PinEpoch();
-  if (e->main)
-    AccumulateFiltered(e->main->index->RangeSearchLowerBound(query, radius),
-                       e->main->ids, e->tombstones, &out);
-  for (const auto& minor : e->minors)
-    AccumulateFiltered(minor->index->RangeSearchLowerBound(query, radius),
-                       minor->ids, e->tombstones, &out);
-  AccumulateDirect(
-      MemtableRange(*e->memtable, e->tombstones, query, radius,
-                    /*lower_bound_only=*/true),
-      &out);
-  std::sort(out.neighbors.begin(), out.neighbors.end());
-  return out;
-}
-
-// Batch workers re-bind the per-request context before searching so each
-// query's spans stitch into its own submitter's trace tree (see
-// SearchBatchOptions::trace_of).
-std::vector<KnnResult> IngestController::KnnBatch(
-    const std::vector<std::vector<double>>& queries, size_t k,
-    const BatchOptions& options) const {
-  std::vector<KnnResult> results(queries.size());
-  ParallelFor(
-      0, queries.size(),
-      [&](size_t i) {
-        if (options.cancel && options.cancel(i)) return;
-        const obs::TraceContext ctx = options.trace_of
-                                          ? options.trace_of(i)
-                                          : obs::CurrentTraceContext();
-        obs::TraceContextScope trace_scope(ctx);
-        SAPLA_TRACE_SPAN("batch/query");
-        obs::QueryExplain* explain =
-            options.explain_of ? options.explain_of(i) : nullptr;
-        results[i] = KnnWithExplain(queries[i], k, explain);
-      },
-      options.num_threads);
-  return results;
-}
-
-std::vector<KnnResult> IngestController::RangeSearchBatch(
-    const std::vector<std::vector<double>>& queries, double radius,
-    const BatchOptions& options) const {
-  std::vector<KnnResult> results(queries.size());
-  ParallelFor(
-      0, queries.size(),
-      [&](size_t i) {
-        if (options.cancel && options.cancel(i)) return;
-        const obs::TraceContext ctx = options.trace_of
-                                          ? options.trace_of(i)
-                                          : obs::CurrentTraceContext();
-        obs::TraceContextScope trace_scope(ctx);
-        SAPLA_TRACE_SPAN("batch/query");
-        results[i] = RangeSearch(queries[i], radius);
-      },
-      options.num_threads);
-  return results;
 }
 
 size_t IngestController::dataset_size() const { return PinEpoch()->visible; }

@@ -35,7 +35,7 @@
 // store id, so the serve result cache is structurally unable to return a
 // hit from a previous epoch.
 //
-// Answer parity (tests/ingest_parity_test.cc). Exact Knn / RangeSearch
+// Answer parity (tests/ingest_parity_test.cc). Exact k-NN / range
 // answers are a function of the VISIBLE RAW SERIES SET only: every
 // generation searches its subset exactly (dbch_sound_bounds is forced, as
 // in ShardedIndex), refinement distances are EuclideanDistance on the
@@ -105,8 +105,7 @@ struct IngestOptions {
   /// Shard count of the main generation's ShardedIndex.
   size_t num_shards = 1;
   /// Per-generation index options. dbch_sound_bounds is forced on (the
-  /// multi-generation merge is a partition; see file comment) and
-  /// legacy_aos_corpus is rejected.
+  /// multi-generation merge is a partition; see file comment).
   SimilarityIndex::Options index;
   /// SAPLA only: reduce arriving series with the online StreamingSapla
   /// scan instead of the batch reducer. Answers stay exact (streaming
@@ -176,30 +175,14 @@ class IngestController : public SearchIndex {
   /// truncate the WAL to the memtable's records. Requires durable_dir.
   Status Checkpoint();
 
-  // ---- SearchIndex: epoch-pinned scatter/merge over main + minors +
-  // memtable with tombstone filtering. Never blocks on writers.
-  KnnResult Knn(const std::vector<double>& query, size_t k) const override;
-  /// Knn plus per-generation attribution (obs/explain.h): one part per
+  /// SearchIndex: pins the epoch once, then one pass over main + minors +
+  /// memtable with tombstone filtering, merged under the (distance, global
+  /// id) order. Never blocks on writers. The explain gets one part per
   /// generation the query touched (main, minorN, memtable) with wall time,
-  /// contributed neighbors and counters, plus the pinned epoch sequence.
-  /// Part counters sum exactly to the merged counters.
-  KnnResult KnnExplain(const std::vector<double>& query, size_t k,
-                       obs::QueryExplain* explain) const override;
-  KnnResult KnnLowerBound(const std::vector<double>& query,
-                          size_t k) const override;
-  KnnResult RangeSearch(const std::vector<double>& query,
-                        double radius) const override;
-  KnnResult RangeSearchLowerBound(const std::vector<double>& query,
-                                  double radius) const override;
-
-  using SearchIndex::KnnBatch;
-  using SearchIndex::RangeSearchBatch;
-  std::vector<KnnResult> KnnBatch(
-      const std::vector<std::vector<double>>& queries, size_t k,
-      const BatchOptions& options) const override;
-  std::vector<KnnResult> RangeSearchBatch(
-      const std::vector<std::vector<double>>& queries, double radius,
-      const BatchOptions& options) const override;
+  /// contributed neighbors and counters, plus the pinned epoch sequence;
+  /// part counters sum exactly to the merged counters.
+  KnnResult Search(const std::vector<double>& query, const QuerySpec& spec,
+                   obs::QueryExplain* explain) const override;
 
   Method method() const override { return method_; }
   IndexKind kind() const override { return kind_; }
@@ -319,24 +302,13 @@ class IngestController : public SearchIndex {
   Status LoadManifest(const std::string& path, std::vector<MemEntry>* out,
                       uint64_t* seq, uint64_t* next_id) const;
 
-  /// LB-filtered exact scan of one pinned memtable (the same filter-refine
-  /// arithmetic as SimilarityIndex::Knn, so distances are bit-identical).
-  KnnResult MemtableKnn(const Memtable& mem,
-                        const std::vector<uint64_t>& tombstones,
-                        const std::vector<double>& query, size_t k) const;
-  KnnResult MemtableRange(const Memtable& mem,
-                          const std::vector<uint64_t>& tombstones,
-                          const std::vector<double>& query, double radius,
-                          bool lower_bound_only) const;
-  KnnResult MemtableKnnLowerBound(const Memtable& mem,
-                                  const std::vector<uint64_t>& tombstones,
-                                  const std::vector<double>& query,
-                                  size_t k) const;
-
-  /// Shared Knn body; fills `*explain` (when non-null) from the same
-  /// per-generation results it merges.
-  KnnResult KnnWithExplain(const std::vector<double>& query, size_t k,
-                           obs::QueryExplain* explain) const;
+  /// The memtable's part of a query: every visible entry through the same
+  /// filter-and-refine step as SimilarityIndex::Search (so distances are
+  /// bit-identical), answered with global ids.
+  KnnResult MemtableSearch(const Memtable& mem,
+                           const std::vector<uint64_t>& tombstones,
+                           const std::vector<double>& query,
+                           const QuerySpec& spec) const;
 
   const Method method_;
   const size_t m_;

@@ -23,11 +23,10 @@
 //
 // RepView exposes the same accessor vocabulary as Representation
 // (num_segments / segment_start / segment_length plus per-field reads) over
-// either layout: a store slice (SoA) or a borrowed Representation (AoS, via
-// RepView::Of). Distance kernels (distance/kernels.h), the feature mapper
-// and the index backends are written once against RepView, so the legacy
-// AoS corpus path and the columnar path run the identical arithmetic —
-// the bit-identity contract tests/store_parity_test.cc enforces.
+// one store slice. Distance kernels (distance/kernels.h), the feature
+// mapper and the index backends are written against RepView; the
+// per-Representation kernels (distance/distance.h, distance/mindist.h)
+// remain as their test oracles.
 //
 // Representation survives as the build/interchange type: Append() ingests
 // one (losslessly), ToRepresentation() materializes one back.
@@ -68,28 +67,13 @@ struct DecodedFrame;   // one decoded frame of a cold store
 struct ColdColumns;    // mmap + frame directory + bounded decode cache
 }  // namespace storedetail
 
-/// \brief Non-owning view of one reduced series, over either the store's
-/// columnar slices or a borrowed Representation. Trivially copyable; valid
-/// only while the underlying storage is (for cold stores: while the
-/// StoreReadPin that produced it holds the frame).
+/// \brief Non-owning view of one reduced series' slice of a store's
+/// columns. Trivially copyable; valid only while the underlying storage is
+/// (for cold stores: while the StoreReadPin that produced it holds the
+/// frame).
 class RepView {
  public:
   RepView() = default;
-
-  /// Views an existing AoS Representation (the legacy/interchange layout).
-  static RepView Of(const Representation& rep) {
-    RepView v;
-    v.method_ = rep.method;
-    v.n_ = rep.n;
-    v.alphabet_ = rep.alphabet;
-    v.num_segments_ = rep.segments.size();
-    v.segs_ = rep.segments.empty() ? nullptr : rep.segments.data();
-    v.coeffs_ = rep.coeffs.empty() ? nullptr : rep.coeffs.data();
-    v.num_coeffs_ = rep.coeffs.size();
-    v.symbols_ = rep.symbols.empty() ? nullptr : rep.symbols.data();
-    v.num_symbols_ = rep.symbols.size();
-    return v;
-  }
 
   Method method() const { return method_; }
   size_t n() const { return n_; }
@@ -98,11 +82,9 @@ class RepView {
   size_t num_segments() const { return num_segments_; }
 
   /// Segment i's line slope / intercept / inclusive right endpoint.
-  double seg_a(size_t i) const { return segs_ ? segs_[i].a : a_[i]; }
-  double seg_b(size_t i) const { return segs_ ? segs_[i].b : b_[i]; }
-  size_t seg_r(size_t i) const {
-    return segs_ ? segs_[i].r : static_cast<size_t>(r_[i]);
-  }
+  double seg_a(size_t i) const { return a_[i]; }
+  double seg_b(size_t i) const { return b_[i]; }
+  size_t seg_r(size_t i) const { return static_cast<size_t>(r_[i]); }
 
   /// Global index of segment i's first point (same math as Representation).
   size_t segment_start(size_t i) const { return i == 0 ? 0 : seg_r(i - 1) + 1; }
@@ -118,11 +100,8 @@ class RepView {
   const int* symbols() const { return symbols_; }
   size_t num_symbols() const { return num_symbols_; }
 
-  /// Raw layout access for hot kernels that hoist the AoS-vs-SoA branch
-  /// out of their inner loop (distance/kernels.cc): aos_segments() is
-  /// non-null iff the view borrows a Representation; otherwise the three
-  /// soa_* columns are valid for num_segments() entries.
-  const LinearSegment* aos_segments() const { return segs_; }
+  /// Raw column access for hot kernels (distance/kernels.cc); valid for
+  /// num_segments() entries.
   const double* soa_a() const { return a_; }
   const double* soa_b() const { return b_; }
   const uint32_t* soa_r() const { return r_; }
@@ -134,10 +113,8 @@ class RepView {
   size_t n_ = 0;
   size_t alphabet_ = 0;
   size_t num_segments_ = 0;
-  // AoS mode: segs_ != nullptr and a_/b_/r_ are unused. SoA mode: segs_ ==
-  // nullptr and the columns point into the store's arenas (hot) or a
-  // pinned decoded frame (cold).
-  const LinearSegment* segs_ = nullptr;
+  // The columns point into the store's arenas (hot) or a pinned decoded
+  // frame (cold).
   const double* a_ = nullptr;
   const double* b_ = nullptr;
   const uint32_t* r_ = nullptr;
@@ -230,7 +207,7 @@ class RepresentationStore {
   /// Hot stores only.
   size_t Append(const Representation& rep);
 
-  /// Materializes series `id` back into the AoS interchange type
+  /// Materializes series `id` back into the interchange type
   /// (lossless inverse of Append). Works on both tiers.
   Representation ToRepresentation(size_t id) const;
 

@@ -1,75 +1,16 @@
 #include "search/knn.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
-#include <queue>
 
 #include "distance/kernels.h"
-#include "distance/mindist.h"
 #include "obs/trace.h"
+#include "search/filter_refine.h"
 #include "util/fault.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 
 namespace sapla {
-namespace {
-
-// Post-traversal bookkeeping shared by Knn and RangeSearch: the entries a
-// backend never surfaced to the visit callback were pruned at node level,
-// and the deepest cascade stage reached classifies the query for the
-// serving-layer counters.
-void FinalizeCounters(SearchCounters* c, size_t dataset_size) {
-  c->entries_pruned_node = dataset_size - c->lb_evaluations;
-  if (c->exact_evaluations > 0) {
-    c->cascade_stage = CascadeStage::kExact;
-  } else if (c->lb_evaluations > 0) {
-    c->cascade_stage = CascadeStage::kLeafFilter;
-  } else {
-    c->cascade_stage = CascadeStage::kNodePrune;
-  }
-}
-
-// Max-heap of the k best (distance, id) pairs; exposes the pruning bound.
-// Ordering is lexicographic on (distance, id): equal distances keep the
-// smaller id, so the answer set — not just its order — is deterministic
-// and identical between serial, batch and backend variants.
-class TopK {
- public:
-  explicit TopK(size_t k) : k_(k) {}
-
-  void Offer(double dist, size_t id) {
-    if (k_ == 0) return;
-    if (heap_.size() < k_) {
-      heap_.emplace(dist, id);
-    } else if (std::make_pair(dist, id) < heap_.top()) {
-      heap_.pop();
-      heap_.emplace(dist, id);
-    }
-  }
-
-  double Bound() const {
-    return heap_.size() < k_ ? std::numeric_limits<double>::infinity()
-                             : heap_.top().first;
-  }
-
-  std::vector<std::pair<double, size_t>> Sorted() const {
-    std::vector<std::pair<double, size_t>> v(heap_.size());
-    auto copy = heap_;
-    for (size_t i = v.size(); i-- > 0;) {
-      v[i] = copy.top();
-      copy.pop();
-    }
-    return v;
-  }
-
- private:
-  size_t k_;
-  std::priority_queue<std::pair<double, size_t>> heap_;
-};
-
-}  // namespace
 
 KnnResult LinearScanKnn(const Dataset& dataset,
                         const std::vector<double>& query, size_t k) {
@@ -116,36 +57,22 @@ Status SimilarityIndex::Build(const Dataset& dataset, BuildInfo* info) {
   // const and stateless, and each iteration writes only its own slot.
   CpuTimer reduce_cpu;
   WallTimer reduce_wall;
-  reps_.assign(dataset.size(), Representation{});
+  std::vector<Representation> reps(dataset.size());
   ParallelFor(0, dataset.size(), [&](size_t i) {
-    reps_[i] = reducer_->Reduce(dataset.series[i].values, m_);
+    reps[i] = reducer_->Reduce(dataset.series[i].values, m_);
   });
+  // Transpose the parallel-reduced batch into the columnar store (Append is
+  // order-preserving, so store ids == series ids); the staging copies die
+  // with this scope.
   store_.Reset();
-  if (!options_.legacy_aos_corpus) {
-    // Transpose the parallel-reduced AoS batch into the columnar store
-    // (Append is order-preserving, so store ids == series ids), then drop
-    // the AoS copies — the store is the corpus from here on.
-    for (const Representation& rep : reps_) store_.Append(rep);
-    reps_.clear();
-    reps_.shrink_to_fit();
-  }
+  for (const Representation& rep : reps) store_.Append(rep);
+  reps = {};
   const double reduce_cpu_s = reduce_cpu.Seconds();
   const double reduce_wall_s = reduce_wall.Seconds();
 
   CpuTimer insert_timer;
-  IndexBackendContext ctx;
-  ctx.method = method_;
-  ctx.m = m_;
-  ctx.dataset = dataset_;
-  if (options_.legacy_aos_corpus) {
-    ctx.reps = &reps_;
-  } else {
-    ctx.store = &store_;
-  }
-  ctx.options = options_;
-  auto backend = MakeIndexBackendByName(IndexKindName(kind_), ctx);
-  if (!backend.ok()) return backend.status();
-  backend_ = std::move(backend).ValueOrDie();
+  backend_ =
+      MakeIndexBackend(kind_, {method_, m_, dataset_, &store_, options_});
   for (size_t i = 0; i < dataset.size(); ++i) backend_->Insert(i);
   const double insert_s = insert_timer.Seconds();
 
@@ -162,9 +89,6 @@ Status SimilarityIndex::RestoreFromStore(const Dataset& dataset,
                                          RepresentationStore store,
                                          const std::string& tree_bytes) {
   SAPLA_TRACE_SPAN("index/restore");
-  if (options_.legacy_aos_corpus)
-    return Status::InvalidArgument(
-        "RestoreFromStore requires the columnar corpus layout");
   if (dataset.size() == 0) return Status::InvalidArgument("empty dataset");
   if (store.method() != method_)
     return Status::InvalidArgument("store method does not match the index");
@@ -175,18 +99,8 @@ Status SimilarityIndex::RestoreFromStore(const Dataset& dataset,
         "store series length does not match the dataset");
   dataset_ = &dataset;
   store_ = std::move(store);
-  reps_.clear();
-  reps_.shrink_to_fit();
-
-  IndexBackendContext ctx;
-  ctx.method = method_;
-  ctx.m = m_;
-  ctx.dataset = dataset_;
-  ctx.store = &store_;
-  ctx.options = options_;
-  auto backend = MakeIndexBackendByName(IndexKindName(kind_), ctx);
-  if (!backend.ok()) return backend.status();
-  backend_ = std::move(backend).ValueOrDie();
+  backend_ =
+      MakeIndexBackend(kind_, {method_, m_, dataset_, &store_, options_});
   if (!tree_bytes.empty()) {
     const Status restored = backend_->RestoreTree(tree_bytes);
     if (!restored.ok()) return restored;
@@ -204,249 +118,61 @@ TreeStats SimilarityIndex::stats() const {
   return backend_ ? backend_->ComputeStats() : TreeStats{};
 }
 
-KnnResult SimilarityIndex::Knn(const std::vector<double>& query,
-                               size_t k) const {
-  SAPLA_TRACE_SPAN("knn/query");
+KnnResult SimilarityIndex::Search(const std::vector<double>& query,
+                                  const QuerySpec& spec,
+                                  obs::QueryExplain* explain) const {
+  SAPLA_TRACE_SPAN(spec.lower_bound
+                       ? (spec.knn() ? "knn/lower_bound" : "range/lower_bound")
+                       : (spec.knn() ? "knn/query" : "range/query"));
   SAPLA_DCHECK(dataset_ != nullptr);
   SAPLA_DCHECK(query.size() == dataset_->length());
+  const auto t0 = std::chrono::steady_clock::now();
   KnnResult result;
-  if (k == 0) return result;
-  // The query reduces through the same columnar path as the corpus: into a
-  // stack-local single-entry store, viewed for the duration of the query.
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
-  DistanceScratch scratch;  // amortizes Dist_PAR buffers across the query
-
-  TopK top(k);
-  // Leaf-entry handler, backend-agnostic: lower-bound filter (Dist_LB
-  // against the raw query for segment methods — rigorous), then the exact
-  // (counted) refinement on the raw series. Over a quantized corpus the
-  // filter distance is measured against the *quantized* representation,
-  // which can exceed the true lower bound by the store's per-series slack;
-  // subtracting it restores a sound bound (so no true neighbor is ever
-  // pruned), and the exact refinement below is untouched by quantization.
-  SearchCounters& c = result.counters;
-  StoreReadPin pin;  // keeps the current cold frame decoded across visits
-  const bool has_slack = !options_.legacy_aos_corpus && store_.quantized();
-  const auto visit = [&](size_t id, double bound) {
-    double lb = FilterDistanceView(query_fitter, query_rep,
-                                   corpus_view(id, &pin), &scratch);
-    if (has_slack) lb = std::max(0.0, lb - store_.lb_slack(id));
-    ++c.lb_evaluations;
-    if (lb <= bound) {
-      const double exact =
-          EuclideanDistance(query, dataset_->series[id].values);
-      ++result.num_measured;
-      ++c.exact_evaluations;
-      if (exact > 0.0) {
-        c.lb_tightness_sum += lb / exact;
-        ++c.lb_tightness_count;
+  if (!spec.knn() || spec.k > 0) {
+    const size_t num = dataset_->size();
+    FilterRefine step(*reducer_, m_, query, spec);
+    if (spec.lower_bound) {
+      // Full-corpus scan: the batched kernel streams the store's columns
+      // (or decodes frame-by-frame for a cold store).
+      std::vector<double> lbs(num);
+      FilterDistanceBatch(step.fitter(), step.query_rep(), store_, nullptr,
+                          num, lbs.data(), step.scratch());
+      const bool has_slack = store_.quantized();
+      for (size_t id = 0; id < num; ++id) {
+        const double lb =
+            has_slack ? std::max(0.0, lbs[id] - store_.lb_slack(id)) : lbs[id];
+        step.Admit(lb, dataset_->series[id].values, id);
       }
-      top.Offer(exact, id);
     } else {
-      ++c.entries_pruned_leaf;
+      StoreReadPin pin;  // keeps the current cold frame decoded across visits
+      const auto visit = [&](size_t id, double /*bound*/) {
+        step.Visit(store_, id, &pin, dataset_->series[id].values, id);
+        return step.Bound();
+      };
+      SAPLA_TRACE_SPAN(spec.knn() ? "knn/traverse" : "range/traverse");
+      backend_->BestFirstSearch(query, step.query_rep(), visit,
+                                step.counters());
     }
-    return top.Bound();
-  };
-  {
-    SAPLA_TRACE_SPAN("knn/traverse");
-    backend_->BestFirstSearch(query, query_rep, visit, &c);
+    result = step.Finish(num);
   }
-  FinalizeCounters(&c, dataset_->size());
-
-  result.neighbors = top.Sorted();
-  return result;
-}
-
-KnnResult SimilarityIndex::RangeSearch(const std::vector<double>& query,
-                                       double radius) const {
-  SAPLA_TRACE_SPAN("range/query");
-  SAPLA_DCHECK(dataset_ != nullptr);
-  SAPLA_DCHECK(query.size() == dataset_->length());
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
-  DistanceScratch scratch;
-
-  KnnResult result;
-  // The pruning bound is the fixed radius: visit never tightens it, so the
-  // traversal enumerates exactly the nodes/entries within range.
-  SearchCounters& c = result.counters;
-  StoreReadPin pin;
-  const bool has_slack = !options_.legacy_aos_corpus && store_.quantized();
-  const auto visit = [&](size_t id, double /*bound*/) {
-    double lb = FilterDistanceView(query_fitter, query_rep,
-                                   corpus_view(id, &pin), &scratch);
-    if (has_slack) lb = std::max(0.0, lb - store_.lb_slack(id));
-    ++c.lb_evaluations;
-    if (lb <= radius) {
-      const double exact =
-          EuclideanDistance(query, dataset_->series[id].values);
-      ++result.num_measured;
-      ++c.exact_evaluations;
-      if (exact > 0.0) {
-        c.lb_tightness_sum += lb / exact;
-        ++c.lb_tightness_count;
-      }
-      if (exact <= radius) result.neighbors.emplace_back(exact, id);
-    } else {
-      ++c.entries_pruned_leaf;
-    }
-    return radius;
-  };
-  {
-    SAPLA_TRACE_SPAN("range/traverse");
-    backend_->BestFirstSearch(query, query_rep, visit, &c);
+  if (explain != nullptr) {
+    const uint64_t dur_us = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    explain->trace_id = obs::CurrentTraceContext().trace_id;
+    explain->total_us = dur_us;
+    explain->approximate = result.approximate;
+    explain->counters = result.counters;
+    explain->stages.push_back({"search", dur_us});
+    obs::ShardExplain part;
+    part.part = "index";
+    part.dur_us = dur_us;
+    part.results = result.neighbors.size();
+    part.counters = result.counters;
+    explain->parts.push_back(std::move(part));
   }
-  FinalizeCounters(&c, dataset_->size());
-
-  // Pair sort: ascending distance, ties by ascending id — deterministic
-  // regardless of backend traversal order.
-  std::sort(result.neighbors.begin(), result.neighbors.end());
   return result;
-}
-
-KnnResult SimilarityIndex::KnnLowerBound(const std::vector<double>& query,
-                                         size_t k) const {
-  SAPLA_TRACE_SPAN("knn/lower_bound");
-  SAPLA_DCHECK(dataset_ != nullptr);
-  SAPLA_DCHECK(query.size() == dataset_->length());
-  KnnResult result;
-  if (k == 0) return result;
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
-  const size_t num = dataset_->size();
-  TopK top(k);
-  if (options_.legacy_aos_corpus) {
-    DistanceScratch scratch;
-    for (size_t id = 0; id < num; ++id)
-      top.Offer(FilterDistanceView(query_fitter, query_rep,
-                                   RepView::Of(reps_[id]), &scratch),
-                id);
-  } else {
-    // Full-corpus scan: the batched kernel streams the store's columns
-    // (or decodes frame-by-frame for a cold store). A quantized corpus's
-    // bounds are loosened by the per-series slack so the reported
-    // distances remain true lower bounds.
-    DistanceScratch scratch;
-    std::vector<double> lbs(num);
-    FilterDistanceBatch(query_fitter, query_rep, store_, nullptr, num,
-                        lbs.data(), &scratch);
-    if (store_.quantized())
-      for (size_t id = 0; id < num; ++id)
-        lbs[id] = std::max(0.0, lbs[id] - store_.lb_slack(id));
-    for (size_t id = 0; id < num; ++id) top.Offer(lbs[id], id);
-  }
-  result.neighbors = top.Sorted();
-  result.counters.lb_evaluations = num;
-  result.counters.cascade_stage = CascadeStage::kLeafFilter;
-  return result;
-}
-
-KnnResult SimilarityIndex::RangeSearchLowerBound(
-    const std::vector<double>& query, double radius) const {
-  SAPLA_TRACE_SPAN("range/lower_bound");
-  SAPLA_DCHECK(dataset_ != nullptr);
-  SAPLA_DCHECK(query.size() == dataset_->length());
-  RepresentationStore query_store;
-  reducer_->ReduceInto(query, m_, &query_store);
-  const RepView query_rep = query_store.view(0);
-  const PrefixFitter query_fitter(query);
-  const size_t num = dataset_->size();
-  KnnResult result;
-  if (options_.legacy_aos_corpus) {
-    DistanceScratch scratch;
-    for (size_t id = 0; id < num; ++id) {
-      const double lb = FilterDistanceView(query_fitter, query_rep,
-                                           RepView::Of(reps_[id]), &scratch);
-      if (lb <= radius) result.neighbors.emplace_back(lb, id);
-    }
-  } else {
-    DistanceScratch scratch;
-    std::vector<double> lbs(num);
-    FilterDistanceBatch(query_fitter, query_rep, store_, nullptr, num,
-                        lbs.data(), &scratch);
-    if (store_.quantized())
-      for (size_t id = 0; id < num; ++id)
-        lbs[id] = std::max(0.0, lbs[id] - store_.lb_slack(id));
-    for (size_t id = 0; id < num; ++id)
-      if (lbs[id] <= radius) result.neighbors.emplace_back(lbs[id], id);
-  }
-  std::sort(result.neighbors.begin(), result.neighbors.end());
-  result.counters.lb_evaluations = num;
-  result.counters.cascade_stage = CascadeStage::kLeafFilter;
-  return result;
-}
-
-// Batch workers re-bind the per-request context (options.trace_of) before
-// searching: the batch mixes requests from many clients, and each query's
-// spans must stitch into its own submitter's trace tree.
-std::vector<KnnResult> SimilarityIndex::KnnBatch(
-    const std::vector<std::vector<double>>& queries, size_t k,
-    const BatchOptions& options) const {
-  std::vector<KnnResult> results(queries.size());
-  ParallelFor(
-      0, queries.size(),
-      [&](size_t i) {
-        if (options.cancel && options.cancel(i)) return;
-        const obs::TraceContext ctx = options.trace_of
-                                          ? options.trace_of(i)
-                                          : obs::CurrentTraceContext();
-        obs::TraceContextScope trace_scope(ctx);
-        SAPLA_TRACE_SPAN("batch/query");
-        if (obs::QueryExplain* explain =
-                options.explain_of ? options.explain_of(i) : nullptr) {
-          results[i] = KnnExplain(queries[i], k, explain);
-        } else {
-          results[i] = Knn(queries[i], k);
-        }
-      },
-      options.num_threads);
-  return results;
-}
-
-std::vector<KnnResult> SimilarityIndex::RangeSearchBatch(
-    const std::vector<std::vector<double>>& queries, double radius,
-    const BatchOptions& options) const {
-  std::vector<KnnResult> results(queries.size());
-  ParallelFor(
-      0, queries.size(),
-      [&](size_t i) {
-        if (options.cancel && options.cancel(i)) return;
-        const obs::TraceContext ctx = options.trace_of
-                                          ? options.trace_of(i)
-                                          : obs::CurrentTraceContext();
-        obs::TraceContextScope trace_scope(ctx);
-        SAPLA_TRACE_SPAN("batch/query");
-        obs::QueryExplain* explain =
-            options.explain_of ? options.explain_of(i) : nullptr;
-        const auto t0 = std::chrono::steady_clock::now();
-        results[i] = RangeSearch(queries[i], radius);
-        if (explain != nullptr) {
-          const uint64_t dur_us = static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count());
-          explain->trace_id = ctx.trace_id;
-          explain->total_us = dur_us;
-          explain->approximate = results[i].approximate;
-          explain->counters = results[i].counters;
-          explain->stages.push_back({"search", dur_us});
-          obs::ShardExplain part;
-          part.part = "index";
-          part.dur_us = dur_us;
-          part.results = results[i].neighbors.size();
-          part.counters = results[i].counters;
-          explain->parts.push_back(std::move(part));
-        }
-      },
-      options.num_threads);
-  return results;
 }
 
 }  // namespace sapla

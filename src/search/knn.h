@@ -13,11 +13,11 @@
 //
 // Concurrency model: Build is single-threaded from the caller's view (the
 // reduction loop fans across the global thread pool internally); after
-// Build returns the index is immutable, and Knn / RangeSearch / stats are
-// const and safe to call concurrently. KnnBatch / RangeSearchBatch fan
-// independent queries across the pool (util/parallel.h) and preserve the
-// serial per-query results — including exact per-query num_measured —
-// bit-identically at any thread count.
+// Build returns the index is immutable, and Search / stats are const and
+// safe to call concurrently. SearchBatch fans independent queries across
+// the pool (util/parallel.h) and preserves the serial per-query results —
+// including exact per-query num_measured — bit-identically at any thread
+// count.
 
 #include <functional>
 #include <memory>
@@ -57,8 +57,6 @@ using SimilarityIndexOptions = IndexBackendOptions;
 class SimilarityIndex : public SearchIndex {
  public:
   using Options = SimilarityIndexOptions;
-  using BatchOptions = SearchBatchOptions;
-
   /// \param method reduction method used for every series and query.
   /// \param m representation-coefficient budget (Table 1).
   SimilarityIndex(Method method, size_t m, IndexKind kind,
@@ -83,47 +81,17 @@ class SimilarityIndex : public SearchIndex {
   Status RestoreFromStore(const Dataset& dataset, RepresentationStore store,
                           const std::string& tree_bytes = {});
 
-  /// Branch-and-bound k-NN for a raw query of the dataset's length.
-  /// k == 0 returns an empty result without touching the index.
-  KnnResult Knn(const std::vector<double>& query, size_t k) const override;
-
-  /// Approximate k-NN from the reduced representations only: every series
-  /// is ranked by its lower-bounding filter distance to the query and no
-  /// raw series is touched (num_measured == 0). The reported distances are
-  /// lower bounds on the true distances, so the answer may differ from
-  /// Knn's — this is the degraded fallback the serving layer returns for
-  /// deadline-exceeded requests (serve/service.h).
-  KnnResult KnnLowerBound(const std::vector<double>& query,
-                          size_t k) const override;
-
-  /// Approximate range query from the lower bounds only: every series
-  /// whose lower-bounding distance is <= radius (a superset of the exact
-  /// answer ids, with lower-bound distances). num_measured == 0.
-  KnnResult RangeSearchLowerBound(const std::vector<double>& query,
-                                  double radius) const override;
-
-  /// GEMINI epsilon-range query: every series whose exact Euclidean
-  /// distance to `query` is <= radius, ascending by distance. Nodes and
-  /// entries are pruned at `radius` by the same lower bounds as Knn.
-  KnnResult RangeSearch(const std::vector<double>& query,
-                        double radius) const override;
-
-  // The num_threads-only batch conveniences live on SearchIndex.
-  using SearchIndex::KnnBatch;
-  using SearchIndex::RangeSearchBatch;
-
-  /// Batch k-NN with per-query cancellation; non-cancelled entries are
-  /// exactly Knn(queries[i], k) — same neighbors, same num_measured — at
-  /// every thread count.
-  std::vector<KnnResult> KnnBatch(
-      const std::vector<std::vector<double>>& queries, size_t k,
-      const BatchOptions& options) const override;
-
-  /// Batch range query with per-query cancellation; non-cancelled entries
-  /// are exactly RangeSearch(queries[i], radius).
-  std::vector<KnnResult> RangeSearchBatch(
-      const std::vector<std::vector<double>>& queries, double radius,
-      const BatchOptions& options) const override;
+  /// One body for every QuerySpec: the query is reduced once, then either
+  /// a best-first traversal (nodes expanded in increasing lower-bound
+  /// order, pruned at the k-th best distance or the radius) feeds each
+  /// leaf entry through the Dist_LB filter and the exact refinement, or —
+  /// for `lower_bound` — one batched filter scan ranks the whole corpus by
+  /// its lower bounds without touching a raw series. That lower-bound
+  /// answer is the degraded fallback the serving layer returns for
+  /// deadline-exceeded requests (serve/service.h). The explain, when asked
+  /// for, attributes everything to one "index" part.
+  KnnResult Search(const std::vector<double>& query, const QuerySpec& spec,
+                   obs::QueryExplain* explain) const override;
 
   Method method() const override { return method_; }
   IndexKind kind() const override { return kind_; }
@@ -142,7 +110,7 @@ class SimilarityIndex : public SearchIndex {
   /// The dataset passed to Build/RestoreFromStore (nullptr before); the
   /// snapshot layer fingerprints it.
   const Dataset* dataset() const { return dataset_; }
-  /// The columnar corpus (empty before Build or with legacy_aos_corpus).
+  /// The columnar corpus (empty before Build).
   const RepresentationStore& store() const { return store_; }
   /// Stable corpus identity: regenerated by every Build, so results cached
   /// under an old corpus (serve/result_cache.h) can never be served against
@@ -154,14 +122,6 @@ class SimilarityIndex : public SearchIndex {
   TreeStats stats() const;
 
  private:
-  /// View of series `id`'s reduction over the active corpus layout; `pin`
-  /// keeps a cold store's decoded frame alive while the view is in use
-  /// (untouched for hot stores and the AoS layout).
-  RepView corpus_view(size_t id, StoreReadPin* pin) const {
-    return options_.legacy_aos_corpus ? RepView::Of(reps_[id])
-                                      : store_.view(id, pin);
-  }
-
   Method method_;
   size_t m_;
   IndexKind kind_;
@@ -169,11 +129,8 @@ class SimilarityIndex : public SearchIndex {
 
   const Dataset* dataset_ = nullptr;
   std::unique_ptr<Reducer> reducer_;
-  /// Canonical corpus: contiguous SoA columns (representation_store.h).
+  /// The corpus: contiguous SoA columns (representation_store.h).
   RepresentationStore store_;
-  /// Legacy AoS corpus, populated only with Options::legacy_aos_corpus
-  /// (the A/B layout-validation path; see store_parity_test.cc).
-  std::vector<Representation> reps_;
   std::unique_ptr<IndexBackend> backend_;
 };
 

@@ -2,24 +2,37 @@
 #define SAPLA_SEARCH_SEARCH_INDEX_H_
 
 // Query-facing index abstraction shared by the single-shard SimilarityIndex
-// (search/knn.h) and the sharded tier (search/sharded_index.h).
+// (search/knn.h), the sharded tier (search/sharded_index.h) and the live
+// ingest tier (ingest/ingest_controller.h).
 //
 // The serving layer (serve/service.h) programs against this interface only,
-// so one QueryService can front a standalone index or an N-shard fleet
-// without knowing which. The contract every implementation honours:
+// so one QueryService can front a standalone index, an N-shard fleet or a
+// live corpus without knowing which. Every query goes through one method:
+//
+//   Search(query, QuerySpec, explain)
+//
+// QuerySpec names the whole GEMINI procedure (paper §5-6): reduce the
+// query, traverse under node bounds, filter leaf entries by Dist_LB, refine
+// on the raw series. k-NN and epsilon-range differ only in the pruning
+// bound (the k-th best distance vs. the radius); `lower_bound` stops after
+// the filter and reports lower-bound distances (the degraded fallback).
+// SearchBatch is the one batch loop; Knn / RangeSearch / KnnBatch / ... are
+// non-virtual spellings of particular QuerySpecs. The contract every
+// implementation honours:
 //
 //  - Answers are deterministic: neighbors ascend by (distance, id), and the
 //    same query against the same corpus returns bit-identical results at
 //    every thread count.
+//  - When `explain` is non-null, its per-part counters sum exactly to
+//    explain->counters, which equal the returned result's counters.
 //  - corpus_id() changes whenever the served corpus changes (rebuild,
 //    snapshot restore, generation swap). The serve result cache keys on it,
 //    making stale hits structurally impossible.
 //  - After construction/Build the object is immutable from the query path's
-//    view; all query methods are const and safe to call concurrently.
-//    (ShardedIndex additionally supports live swaps — see its header for
-//    the publication protocol that preserves this guarantee per query.)
+//    view; Search is const and safe to call concurrently. (ShardedIndex
+//    additionally supports live swaps — see its header for the publication
+//    protocol that preserves this guarantee per query.)
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -43,7 +56,8 @@ struct KnnResult {
   /// Per-query work breakdown (obs/counters.h): node expansions by level,
   /// entries pruned at node vs. leaf, lower-bound / exact evaluation counts
   /// and tightness. Invariant: counters.exact_evaluations == num_measured.
-  /// Deterministic — identical between Knn and KnnBatch at any thread count.
+  /// Deterministic — identical between Search and SearchBatch at any
+  /// thread count.
   SearchCounters counters;
   /// True when the answer was not computed by the full exact path — e.g. a
   /// degraded shard contributed lower-bound-only candidates or an unhealthy
@@ -52,7 +66,28 @@ struct KnnResult {
   bool approximate = false;
 };
 
-/// Controls one batch call (KnnBatch / RangeSearchBatch).
+/// What one query asks for. k-NN keeps the `k` nearest series; range keeps
+/// every series within `radius` (inclusive). With `lower_bound` the answer
+/// comes from the reduced representations only: distances are lower
+/// bounds, no raw series is touched (num_measured == 0), and a range
+/// answer's ids are a superset of the exact ones.
+struct QuerySpec {
+  enum class Kind { kKnn, kRange };
+  Kind kind = Kind::kKnn;
+  size_t k = 0;
+  double radius = 0.0;
+  bool lower_bound = false;
+
+  static QuerySpec Knn(size_t k, bool lower_bound = false) {
+    return {Kind::kKnn, k, 0.0, lower_bound};
+  }
+  static QuerySpec Range(double radius, bool lower_bound = false) {
+    return {Kind::kRange, 0, radius, lower_bound};
+  }
+  bool knn() const { return kind == Kind::kKnn; }
+};
+
+/// Controls one SearchBatch call.
 struct SearchBatchOptions {
   /// Fan-out cap; 0 = the global default (see util/parallel.h).
   size_t num_threads = 0;
@@ -104,66 +139,51 @@ class SearchIndex {
 
   virtual ~SearchIndex() = default;
 
-  /// Branch-and-bound k-NN for a raw query of the dataset's length.
-  /// k == 0 returns an empty result without touching the index.
-  virtual KnnResult Knn(const std::vector<double>& query, size_t k) const = 0;
+  /// Answers one query for a raw series of the dataset's length. k-NN with
+  /// k == 0 returns an empty result without touching the index. When
+  /// `explain` is non-null it receives the per-part / per-stage breakdown
+  /// (obs/explain.h) of this very execution.
+  virtual KnnResult Search(const std::vector<double>& query,
+                           const QuerySpec& spec,
+                           obs::QueryExplain* explain) const = 0;
 
-  /// Approximate k-NN from the reduced representations only (lower-bound
-  /// distances, num_measured == 0); the degraded-mode fallback.
-  virtual KnnResult KnnLowerBound(const std::vector<double>& query,
-                                  size_t k) const = 0;
+  /// Search over many queries with per-query cancellation, trace re-binding
+  /// and explain sinks (BatchOptions); non-cancelled entries are exactly
+  /// Search(queries[i], spec, ...) at every thread count.
+  std::vector<KnnResult> SearchBatch(
+      const std::vector<std::vector<double>>& queries, const QuerySpec& spec,
+      const BatchOptions& options) const;
 
-  /// Knn plus a per-part / per-stage breakdown into `*explain` (never
-  /// null). The base implementation attributes everything to one "index"
-  /// part; ShardedIndex and IngestController override it with the real
-  /// per-shard / per-generation attribution. Post-condition everywhere:
-  /// the part counters sum exactly to explain->counters, which equal the
-  /// returned result's counters.
-  virtual KnnResult KnnExplain(const std::vector<double>& query, size_t k,
-                               obs::QueryExplain* explain) const {
-    const auto t0 = std::chrono::steady_clock::now();
-    KnnResult result = Knn(query, k);
-    const uint64_t dur_us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    explain->trace_id = obs::CurrentTraceContext().trace_id;
-    explain->total_us = dur_us;
-    explain->approximate = result.approximate;
-    explain->counters = result.counters;
-    explain->stages.push_back({"search", dur_us});
-    obs::ShardExplain part;
-    part.part = "index";
-    part.health = static_cast<int>(shard_health(0));
-    part.dur_us = dur_us;
-    part.results = result.neighbors.size();
-    part.counters = result.counters;
-    explain->parts.push_back(std::move(part));
-    return result;
+  // Spellings of particular QuerySpecs.
+  KnnResult Knn(const std::vector<double>& query, size_t k) const {
+    return Search(query, QuerySpec::Knn(k), nullptr);
   }
-
-  /// GEMINI epsilon-range query: exact distances <= radius, ascending.
-  virtual KnnResult RangeSearch(const std::vector<double>& query,
-                                double radius) const = 0;
-
-  /// Approximate range query from the lower bounds only (a superset of the
-  /// exact answer ids, with lower-bound distances). num_measured == 0.
-  virtual KnnResult RangeSearchLowerBound(const std::vector<double>& query,
-                                          double radius) const = 0;
-
-  /// Batch k-NN with per-query cancellation; non-cancelled entries are
-  /// exactly Knn(queries[i], k) at every thread count.
-  virtual std::vector<KnnResult> KnnBatch(
+  KnnResult KnnLowerBound(const std::vector<double>& query, size_t k) const {
+    return Search(query, QuerySpec::Knn(k, true), nullptr);
+  }
+  KnnResult KnnExplain(const std::vector<double>& query, size_t k,
+                       obs::QueryExplain* explain) const {
+    return Search(query, QuerySpec::Knn(k), explain);
+  }
+  KnnResult RangeSearch(const std::vector<double>& query,
+                        double radius) const {
+    return Search(query, QuerySpec::Range(radius), nullptr);
+  }
+  KnnResult RangeSearchLowerBound(const std::vector<double>& query,
+                                  double radius) const {
+    return Search(query, QuerySpec::Range(radius, true), nullptr);
+  }
+  std::vector<KnnResult> KnnBatch(
       const std::vector<std::vector<double>>& queries, size_t k,
-      const BatchOptions& options) const = 0;
-
-  /// Batch range query with per-query cancellation; non-cancelled entries
-  /// are exactly RangeSearch(queries[i], radius).
-  virtual std::vector<KnnResult> RangeSearchBatch(
+      const BatchOptions& options) const {
+    return SearchBatch(queries, QuerySpec::Knn(k), options);
+  }
+  std::vector<KnnResult> RangeSearchBatch(
       const std::vector<std::vector<double>>& queries, double radius,
-      const BatchOptions& options) const = 0;
-
-  /// Convenience overloads: fan across the pool capped at `num_threads`
+      const BatchOptions& options) const {
+    return SearchBatch(queries, QuerySpec::Range(radius), options);
+  }
+  /// Batch spellings fanned across the pool capped at `num_threads`
   /// (0 = global default), no cancellation.
   std::vector<KnnResult> KnnBatch(
       const std::vector<std::vector<double>>& queries, size_t k,

@@ -54,9 +54,6 @@ std::string ShardedIndex::ShardSnapshotPath(const std::string& prefix,
 Status ShardedIndex::InitShards(const Dataset& dataset,
                                 const std::string& snapshot_prefix,
                                 const SnapshotLoadOptions& load_options) {
-  if (options_.index.legacy_aos_corpus)
-    return Status::InvalidArgument(
-        "sharded index requires the columnar corpus layout");
   if (dataset.size() == 0) return Status::InvalidArgument("empty dataset");
   const size_t n = dataset.size();
   const size_t count =
@@ -236,27 +233,21 @@ std::vector<ShardedIndex::Pinned> ShardedIndex::PinShards() const {
 // ids to global by the shard's range start, sums the counters and sorts on
 // (distance, id). The per-shard answer sets are exact over disjoint
 // subsets, so the merge reproduces the single-index answer.
-KnnResult ShardedIndex::Knn(const std::vector<double>& query,
-                            size_t k) const {
-  return KnnWithExplain(query, k, nullptr);
-}
-
-KnnResult ShardedIndex::KnnExplain(const std::vector<double>& query, size_t k,
-                                   obs::QueryExplain* explain) const {
-  return KnnWithExplain(query, k, explain);
-}
-
-KnnResult ShardedIndex::KnnWithExplain(const std::vector<double>& query,
-                                       size_t k,
-                                       obs::QueryExplain* explain) const {
-  SAPLA_TRACE_SPAN("shard/knn");
+KnnResult ShardedIndex::Search(const std::vector<double>& query,
+                               const QuerySpec& spec,
+                               obs::QueryExplain* explain) const {
+  SAPLA_TRACE_SPAN(spec.knn() ? "shard/knn" : "shard/range");
   const auto t0 = SteadyClock::now();
   const std::vector<Pinned> pins = PinShards();
   std::vector<KnnResult> parts(pins.size());
   std::vector<uint64_t> part_us(explain == nullptr ? 0 : pins.size(), 0);
+  // An excluded shard always costs exactness; a degraded one only when the
+  // caller asked for more than lower bounds.
   bool approximate = false;
   for (const Pinned& p : pins)
-    if (p.health != ShardHealth::kHealthy) approximate = true;
+    if (p.health == ShardHealth::kUnhealthy ||
+        (p.health == ShardHealth::kDegraded && !spec.lower_bound))
+      approximate = true;
   uint64_t scatter_us = 0;
   {
     SAPLA_TRACE_SPAN("shard/scatter");
@@ -266,9 +257,9 @@ KnnResult ShardedIndex::KnnWithExplain(const std::vector<double>& query,
       const Pinned& p = pins[s];
       if (p.health == ShardHealth::kUnhealthy) return;
       const auto w0 = SteadyClock::now();
-      parts[s] = p.health == ShardHealth::kDegraded
-                     ? p.gen->index->KnnLowerBound(query, k)
-                     : p.gen->index->Knn(query, k);
+      QuerySpec shard_spec = spec;
+      if (p.health == ShardHealth::kDegraded) shard_spec.lower_bound = true;
+      parts[s] = p.gen->index->Search(query, shard_spec, nullptr);
       if (explain != nullptr) part_us[s] = ElapsedUs(w0);
     });
     scatter_us = ElapsedUs(s0);
@@ -285,7 +276,8 @@ KnnResult ShardedIndex::KnnWithExplain(const std::vector<double>& query,
       out.counters.Add(parts[s].counters);
     }
     std::sort(out.neighbors.begin(), out.neighbors.end());
-    if (out.neighbors.size() > k) out.neighbors.resize(k);
+    if (spec.knn() && out.neighbors.size() > spec.k)
+      out.neighbors.resize(spec.k);
     merge_us = ElapsedUs(m0);
   }
   out.approximate = approximate;
@@ -307,171 +299,6 @@ KnnResult ShardedIndex::KnnWithExplain(const std::vector<double>& query,
     }
   }
   return out;
-}
-
-KnnResult ShardedIndex::KnnLowerBound(const std::vector<double>& query,
-                                      size_t k) const {
-  SAPLA_TRACE_SPAN("shard/knn_lb");
-  const std::vector<Pinned> pins = PinShards();
-  std::vector<KnnResult> parts(pins.size());
-  bool approximate = false;
-  ParallelFor(0, pins.size(), [&](size_t s) {
-    if (pins[s].health == ShardHealth::kUnhealthy) return;
-    parts[s] = pins[s].gen->index->KnnLowerBound(query, k);
-  });
-  KnnResult out;
-  for (size_t s = 0; s < pins.size(); ++s) {
-    if (pins[s].health == ShardHealth::kUnhealthy) {
-      approximate = true;
-      continue;
-    }
-    for (const auto& [dist, id] : parts[s].neighbors)
-      out.neighbors.emplace_back(dist, id + pins[s].lo);
-    out.num_measured += parts[s].num_measured;
-    out.counters.Add(parts[s].counters);
-  }
-  std::sort(out.neighbors.begin(), out.neighbors.end());
-  if (out.neighbors.size() > k) out.neighbors.resize(k);
-  out.approximate = approximate;
-  return out;
-}
-
-KnnResult ShardedIndex::RangeSearch(const std::vector<double>& query,
-                                    double radius) const {
-  return RangeSearchWithExplain(query, radius, nullptr);
-}
-
-KnnResult ShardedIndex::RangeSearchWithExplain(
-    const std::vector<double>& query, double radius,
-    obs::QueryExplain* explain) const {
-  SAPLA_TRACE_SPAN("shard/range");
-  const auto t0 = SteadyClock::now();
-  const std::vector<Pinned> pins = PinShards();
-  std::vector<KnnResult> parts(pins.size());
-  std::vector<uint64_t> part_us(explain == nullptr ? 0 : pins.size(), 0);
-  bool approximate = false;
-  for (const Pinned& p : pins)
-    if (p.health != ShardHealth::kHealthy) approximate = true;
-  uint64_t scatter_us = 0;
-  {
-    SAPLA_TRACE_SPAN("shard/scatter");
-    const auto s0 = SteadyClock::now();
-    ParallelFor(0, pins.size(), [&](size_t s) {
-      SAPLA_TRACE_SPAN("shard/search");
-      const Pinned& p = pins[s];
-      if (p.health == ShardHealth::kUnhealthy) return;
-      const auto w0 = SteadyClock::now();
-      parts[s] = p.health == ShardHealth::kDegraded
-                     ? p.gen->index->RangeSearchLowerBound(query, radius)
-                     : p.gen->index->RangeSearch(query, radius);
-      if (explain != nullptr) part_us[s] = ElapsedUs(w0);
-    });
-    scatter_us = ElapsedUs(s0);
-  }
-  KnnResult out;
-  uint64_t merge_us = 0;
-  {
-    SAPLA_TRACE_SPAN("shard/merge");
-    const auto m0 = SteadyClock::now();
-    for (size_t s = 0; s < pins.size(); ++s) {
-      for (const auto& [dist, id] : parts[s].neighbors)
-        out.neighbors.emplace_back(dist, id + pins[s].lo);
-      out.num_measured += parts[s].num_measured;
-      out.counters.Add(parts[s].counters);
-    }
-    std::sort(out.neighbors.begin(), out.neighbors.end());
-    merge_us = ElapsedUs(m0);
-  }
-  out.approximate = approximate;
-  if (explain != nullptr) {
-    explain->trace_id = obs::CurrentTraceContext().trace_id;
-    explain->total_us = ElapsedUs(t0);
-    explain->approximate = out.approximate;
-    explain->counters = out.counters;
-    explain->stages.push_back({"scatter", scatter_us});
-    explain->stages.push_back({"merge", merge_us});
-    for (size_t s = 0; s < pins.size(); ++s) {
-      obs::ShardExplain part;
-      part.part = "shard" + std::to_string(s);
-      part.health = static_cast<int>(pins[s].health);
-      part.dur_us = part_us[s];
-      part.results = parts[s].neighbors.size();
-      part.counters = parts[s].counters;
-      explain->parts.push_back(std::move(part));
-    }
-  }
-  return out;
-}
-
-KnnResult ShardedIndex::RangeSearchLowerBound(const std::vector<double>& query,
-                                              double radius) const {
-  SAPLA_TRACE_SPAN("shard/range_lb");
-  const std::vector<Pinned> pins = PinShards();
-  std::vector<KnnResult> parts(pins.size());
-  bool approximate = false;
-  ParallelFor(0, pins.size(), [&](size_t s) {
-    if (pins[s].health == ShardHealth::kUnhealthy) return;
-    parts[s] = pins[s].gen->index->RangeSearchLowerBound(query, radius);
-  });
-  KnnResult out;
-  for (size_t s = 0; s < pins.size(); ++s) {
-    if (pins[s].health == ShardHealth::kUnhealthy) {
-      approximate = true;
-      continue;
-    }
-    for (const auto& [dist, id] : parts[s].neighbors)
-      out.neighbors.emplace_back(dist, id + pins[s].lo);
-    out.num_measured += parts[s].num_measured;
-    out.counters.Add(parts[s].counters);
-  }
-  std::sort(out.neighbors.begin(), out.neighbors.end());
-  out.approximate = approximate;
-  return out;
-}
-
-// Batch workers re-bind the per-request context before touching the index:
-// the batch groups requests from many clients, so the worker's ambient
-// context (the scheduler's) is the wrong tree for every one of them.
-std::vector<KnnResult> ShardedIndex::KnnBatch(
-    const std::vector<std::vector<double>>& queries, size_t k,
-    const BatchOptions& options) const {
-  std::vector<KnnResult> results(queries.size());
-  ParallelFor(
-      0, queries.size(),
-      [&](size_t i) {
-        if (options.cancel && options.cancel(i)) return;
-        const obs::TraceContext ctx = options.trace_of
-                                          ? options.trace_of(i)
-                                          : obs::CurrentTraceContext();
-        obs::TraceContextScope trace_scope(ctx);
-        SAPLA_TRACE_SPAN("batch/query");
-        obs::QueryExplain* explain =
-            options.explain_of ? options.explain_of(i) : nullptr;
-        results[i] = KnnWithExplain(queries[i], k, explain);
-      },
-      options.num_threads);
-  return results;
-}
-
-std::vector<KnnResult> ShardedIndex::RangeSearchBatch(
-    const std::vector<std::vector<double>>& queries, double radius,
-    const BatchOptions& options) const {
-  std::vector<KnnResult> results(queries.size());
-  ParallelFor(
-      0, queries.size(),
-      [&](size_t i) {
-        if (options.cancel && options.cancel(i)) return;
-        const obs::TraceContext ctx = options.trace_of
-                                          ? options.trace_of(i)
-                                          : obs::CurrentTraceContext();
-        obs::TraceContextScope trace_scope(ctx);
-        SAPLA_TRACE_SPAN("batch/query");
-        obs::QueryExplain* explain =
-            options.explain_of ? options.explain_of(i) : nullptr;
-        results[i] = RangeSearchWithExplain(queries[i], radius, explain);
-      },
-      options.num_threads);
-  return results;
 }
 
 }  // namespace sapla

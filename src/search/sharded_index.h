@@ -62,10 +62,9 @@ class ShardedIndex : public SearchIndex {
   struct Options {
     /// Number of shards; clamped to [1, dataset size] at Build.
     size_t num_shards = 1;
-    /// Per-shard index options (fill factors). legacy_aos_corpus is
-    /// rejected — shards are columnar only, and dbch_sound_bounds is
-    /// forced on: partition-invariant answers require exact per-shard
-    /// search, which DBCH's default §5.3 heuristic cannot provide.
+    /// Per-shard index options (fill factors). dbch_sound_bounds is forced
+    /// on: partition-invariant answers require exact per-shard search,
+    /// which DBCH's default §5.3 heuristic cannot provide.
     SimilarityIndex::Options index;
   };
 
@@ -123,30 +122,15 @@ class ShardedIndex : public SearchIndex {
   /// drive this). Takes effect for queries that start afterwards.
   void SetShardHealth(size_t shard, ShardHealth health);
 
-  // SearchIndex interface. Queries pin every shard's generation once at
-  // entry; merged answers are deterministic as documented above.
-  KnnResult Knn(const std::vector<double>& query, size_t k) const override;
-  /// Knn plus the real per-shard attribution (obs/explain.h): one part per
-  /// shard with its health, wall time, contributed neighbors and counters,
-  /// plus scatter/merge stage timings. The part counters sum exactly to the
+  /// SearchIndex: pins every shard's generation once, scatters `spec` to
+  /// each healthy shard (degraded shards answer with lower bounds only,
+  /// unhealthy ones are skipped), then merges deterministically as
+  /// documented above. The explain gets one part per shard with its
+  /// health, wall time, contributed neighbors and counters, plus
+  /// scatter/merge stage timings; the part counters sum exactly to the
   /// merged counters — the merge already computes that sum.
-  KnnResult KnnExplain(const std::vector<double>& query, size_t k,
-                       obs::QueryExplain* explain) const override;
-  KnnResult KnnLowerBound(const std::vector<double>& query,
-                          size_t k) const override;
-  KnnResult RangeSearch(const std::vector<double>& query,
-                        double radius) const override;
-  KnnResult RangeSearchLowerBound(const std::vector<double>& query,
-                                  double radius) const override;
-
-  using SearchIndex::KnnBatch;
-  using SearchIndex::RangeSearchBatch;
-  std::vector<KnnResult> KnnBatch(
-      const std::vector<std::vector<double>>& queries, size_t k,
-      const BatchOptions& options) const override;
-  std::vector<KnnResult> RangeSearchBatch(
-      const std::vector<std::vector<double>>& queries, double radius,
-      const BatchOptions& options) const override;
+  KnnResult Search(const std::vector<double>& query, const QuerySpec& spec,
+                   obs::QueryExplain* explain) const override;
 
   Method method() const override { return method_; }
   IndexKind kind() const override { return kind_; }
@@ -190,14 +174,6 @@ class ShardedIndex : public SearchIndex {
   };
 
   std::vector<Pinned> PinShards() const;
-  /// Shared Knn body: scatter, per-shard search, merge; fills `*explain`
-  /// (when non-null) from the same per-shard results it merges.
-  KnnResult KnnWithExplain(const std::vector<double>& query, size_t k,
-                           obs::QueryExplain* explain) const;
-  /// Shared RangeSearch body, same explain contract.
-  KnnResult RangeSearchWithExplain(const std::vector<double>& query,
-                                   double radius,
-                                   obs::QueryExplain* explain) const;
   /// Shared Build/Restore body: partitions, then builds each shard or
   /// loads it from `snapshot_prefix` (empty = build).
   Status InitShards(const Dataset& dataset, const std::string& snapshot_prefix,

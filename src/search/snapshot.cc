@@ -49,8 +49,6 @@ Status SaveIndexSnapshot(const std::string& path, const SimilarityIndex& index,
                          const SnapshotWriteOptions& options) {
   SAPLA_TRACE_SPAN("snapshot/save");
   if (index.dataset() == nullptr) return Bad("index is not built");
-  if (index.options().legacy_aos_corpus)
-    return Bad("legacy AoS corpus cannot be snapshotted");
   if (index.store().size() != index.dataset_size())
     return Bad("store does not cover the dataset");
 

@@ -83,7 +83,7 @@ struct SnapshotLoadOptions {
 };
 
 /// Persists `index` (built, columnar corpus) to `path` atomically.
-/// Fails with InvalidArgument on an unbuilt or legacy-AoS index; IO
+/// Fails with InvalidArgument on an unbuilt index; IO
 /// failures come back from AtomicWriteFile with the failing step named.
 Status SaveIndexSnapshot(const std::string& path, const SimilarityIndex& index,
                          const SnapshotWriteOptions& options = {});

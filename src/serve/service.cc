@@ -50,6 +50,11 @@ struct QueryService::Request {
   std::vector<double> query;
   size_t k = 0;
   double radius = 0.0;
+  /// What the index is asked: (op, k, radius) as a QuerySpec.
+  QuerySpec Spec(bool lower_bound = false) const {
+    return op == ServeOp::kKnn ? QuerySpec::Knn(k, lower_bound)
+                               : QuerySpec::Range(radius, lower_bound);
+  }
   ServePriority priority = ServePriority::kNormal;
 
   Clock::time_point admitted;
@@ -430,10 +435,8 @@ void QueryService::ResolveDegraded(Request* request) {
   SAPLA_TRACE_SPAN("serve/degraded");
   ServeResponse response;
   response.status = Status::OK();
-  response.result = request->op == ServeOp::kKnn
-                        ? index_.KnnLowerBound(request->query, request->k)
-                        : index_.RangeSearchLowerBound(request->query,
-                                                       request->radius);
+  response.result = index_.Search(request->query,
+                                  request->Spec(/*lower_bound=*/true), nullptr);
   response.approximate = true;
   metrics_.degraded_served.fetch_add(1);
   metrics_.search.Add(response.result.counters, index_.dataset_size());
@@ -455,10 +458,8 @@ void QueryService::ResolveExpired(Request* request) {
                                              "request could be executed");
   response.queue_us = request->queue_us;
   if (options_.degraded_answers) {
-    response.result = request->op == ServeOp::kKnn
-                          ? index_.KnnLowerBound(request->query, request->k)
-                          : index_.RangeSearchLowerBound(request->query,
-                                                         request->radius);
+    response.result = index_.Search(
+        request->query, request->Spec(/*lower_bound=*/true), nullptr);
     response.approximate = true;
     metrics_.degraded.fetch_add(1);
     metrics_.search.Add(response.result.counters, index_.dataset_size());
@@ -510,8 +511,7 @@ void QueryService::Flush(std::vector<std::unique_ptr<Request>> batch) {
 
   // Partition: requests already past their deadline resolve immediately
   // (never stalling the live ones), the rest group by identical operation
-  // parameters so each group is one deterministic KnnBatch /
-  // RangeSearchBatch call.
+  // parameters so each group is one deterministic SearchBatch call.
   // Group key: op + the exact parameter bits (map is fine — batches are
   // small and kNN radii are not involved in ordering subtleties; bitwise
   // radius keys keep distinct NaN payloads distinct).
@@ -558,10 +558,8 @@ void QueryService::Flush(std::vector<std::unique_ptr<Request>> batch) {
     std::vector<KnnResult> results;
     try {
       SAPLA_TRACE_SPAN("serve/exec_group");
-      results = std::get<0>(key) == ServeOp::kKnn
-                    ? index_.KnnBatch(queries, group.front()->k, batch_options)
-                    : index_.RangeSearchBatch(queries, group.front()->radius,
-                                              batch_options);
+      results = index_.SearchBatch(queries, group.front()->Spec(),
+                                   batch_options);
     } catch (const std::exception& e) {
       // The scheduler thread must survive anything the batch path throws
       // (e.g. bad_alloc under memory pressure): resolve the group

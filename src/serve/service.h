@@ -20,7 +20,7 @@
 //               flushes a micro-batch when either `max_batch` requests are
 //               pending or the oldest has waited `max_delay_us`. Each flush
 //               groups requests by (op, k | radius) and runs one
-//               KnnBatch / RangeSearchBatch call on the global pool, so
+//               SearchBatch call on the global pool, so
 //               answers are bit-identical to per-request serial execution
 //               (the contract tests/serve_test.cc enforces).
 //   deadlines   A request past its deadline is dropped cooperatively — at

@@ -1,9 +1,7 @@
-// Bit-identity of the view/batched distance kernels against the legacy
-// per-pair Representation kernels. These are EXPECT_EQ on doubles on
+// Bit-identity of the view/batched distance kernels against the per-pair
+// Representation kernels, their oracles. These are EXPECT_EQ on doubles on
 // purpose: the view kernels promise the *same arithmetic in the same
-// order*, not approximately-equal results — that contract is what lets the
-// columnar corpus replace the AoS one without changing a single search
-// answer.
+// order*, not approximately-equal results.
 
 #include "distance/kernels.h"
 
@@ -50,16 +48,11 @@ Corpus ReduceAll(const Dataset& ds, Method method, size_t m) {
   return corpus;
 }
 
-// Dist_PAR of views over every layout combination — AoS pair, SoA pair and
-// both mixed orders — must equal the legacy per-pair DistPar bit for bit.
+// Dist_PAR of two store views must equal the per-pair DistPar bit for bit.
 void ExpectDistParBitIdentical(const Representation& q, const RepView& q_soa,
                                const Representation& c, const RepView& c_soa,
                                const std::string& label) {
-  const double legacy = DistPar(q, c);
-  EXPECT_EQ(DistParView(RepView::Of(q), RepView::Of(c)), legacy) << label;
-  EXPECT_EQ(DistParView(q_soa, c_soa), legacy) << label;
-  EXPECT_EQ(DistParView(RepView::Of(q), c_soa), legacy) << label;
-  EXPECT_EQ(DistParView(q_soa, RepView::Of(c)), legacy) << label;
+  EXPECT_EQ(DistParView(q_soa, c_soa), DistPar(q, c)) << label;
 }
 
 // Merges each pair of adjacent segments into one (keeping the first
@@ -156,9 +149,8 @@ TEST(DistanceKernels, DistLbViewIsBitIdenticalToDistLb) {
       const Corpus corpus = ReduceAll(ds, method, m);
       const PrefixFitter fitter(ds.series[0].values);
       for (size_t i = 1; i < corpus.reps.size(); ++i) {
-        const double legacy = DistLb(fitter, corpus.reps[i]);
-        EXPECT_EQ(DistLbView(fitter, RepView::Of(corpus.reps[i])), legacy);
-        EXPECT_EQ(DistLbView(fitter, corpus.store.view(i)), legacy);
+        EXPECT_EQ(DistLbView(fitter, corpus.store.view(i)),
+                  DistLb(fitter, corpus.reps[i]));
       }
     }
   }

@@ -9,10 +9,10 @@
 //     request's SearchCounters: the explain is the request's counters
 //     attributed, never a second measurement
 //
-// Plus the underlying contracts: ShardedIndex::KnnExplain and
-// IngestController::KnnExplain fill per-part breakdowns whose counters sum
-// field-wise to the merged result's counters, and whose answer is
-// bit-identical to the plain Knn path.
+// Plus the underlying contracts: ShardedIndex::Search and
+// IngestController::Search, k-NN and range, batched or not, fill per-part
+// breakdowns whose counters sum field-wise to the merged result's
+// counters, and whose answer is bit-identical to the unexplained path.
 
 #include "obs/explain.h"
 
@@ -73,28 +73,33 @@ TEST(ExplainTest, ShardedPartCountersSumExactlyToMergedCounters) {
   ShardedIndex index(Method::kSapla, 12, IndexKind::kDbchTree, opt);
   ASSERT_TRUE(index.Build(ds).ok());
 
-  obs::QueryExplain explain;
-  const KnnResult with = index.KnnExplain(ds.series[9].values, 5, &explain);
-  const KnnResult without = index.Knn(ds.series[9].values, 5);
+  // k-NN, and a range query whose radius reaches the 5th neighbor.
+  const std::vector<double>& q = ds.series[9].values;
+  const double radius = index.Knn(q, 5).neighbors.back().first;
+  for (const QuerySpec& spec : {QuerySpec::Knn(5), QuerySpec::Range(radius)}) {
+    SCOPED_TRACE(spec.knn() ? "knn" : "range");
+    obs::QueryExplain explain;
+    const KnnResult with = index.Search(q, spec, &explain);
+    const KnnResult without = index.Search(q, spec, nullptr);
 
-  // Explain never changes the answer.
-  ASSERT_EQ(with.neighbors.size(), without.neighbors.size());
-  for (size_t i = 0; i < with.neighbors.size(); ++i) {
-    EXPECT_EQ(with.neighbors[i].first, without.neighbors[i].first);
-    EXPECT_EQ(with.neighbors[i].second, without.neighbors[i].second);
+    // Explain never changes the answer.
+    ASSERT_EQ(with.neighbors.size(), without.neighbors.size());
+    ASSERT_GE(with.neighbors.size(), 5u);
+    for (size_t i = 0; i < with.neighbors.size(); ++i) {
+      EXPECT_EQ(with.neighbors[i].first, without.neighbors[i].first);
+      EXPECT_EQ(with.neighbors[i].second, without.neighbors[i].second);
+    }
+
+    ASSERT_EQ(explain.parts.size(), 4u);
+    ExpectPartsSumToTotal(explain);
+    // The explain's whole-request counters ARE the result's counters.
+    EXPECT_TRUE(explain.counters == with.counters);
+    // Stage timings cover the scatter and the merge.
+    std::set<std::string> stages;
+    for (const obs::StageExplain& s : explain.stages) stages.insert(s.stage);
+    EXPECT_TRUE(stages.count("scatter"));
+    EXPECT_TRUE(stages.count("merge"));
   }
-
-  ASSERT_EQ(explain.parts.size(), 4u);
-  ExpectPartsSumToTotal(explain);
-  // The explain's whole-request counters ARE the result's counters.
-  EXPECT_EQ(explain.counters.lb_evaluations, with.counters.lb_evaluations);
-  EXPECT_EQ(explain.counters.exact_evaluations,
-            with.counters.exact_evaluations);
-  // Stage timings cover the scatter and the merge.
-  std::set<std::string> stages;
-  for (const obs::StageExplain& s : explain.stages) stages.insert(s.stage);
-  EXPECT_TRUE(stages.count("scatter"));
-  EXPECT_TRUE(stages.count("merge"));
 }
 
 TEST(ExplainTest, IngestPartCountersSumAcrossGenerations) {
@@ -106,16 +111,66 @@ TEST(ExplainTest, IngestPartCountersSumAcrossGenerations) {
   for (const TimeSeries& ts : ds.series)
     ASSERT_TRUE(ingest.Insert(ts.values, ts.label).ok());
 
-  obs::QueryExplain explain;
-  const KnnResult with = ingest.KnnExplain(ds.series[3].values, 5, &explain);
-  const KnnResult without = ingest.Knn(ds.series[3].values, 5);
-  ASSERT_EQ(with.neighbors.size(), without.neighbors.size());
-  for (size_t i = 0; i < with.neighbors.size(); ++i)
-    EXPECT_EQ(with.neighbors[i].second, without.neighbors[i].second);
+  const std::vector<double>& q = ds.series[3].values;
+  const double radius = ingest.Knn(q, 5).neighbors.back().first;
+  for (const QuerySpec& spec : {QuerySpec::Knn(5), QuerySpec::Range(radius)}) {
+    SCOPED_TRACE(spec.knn() ? "knn" : "range");
+    obs::QueryExplain explain;
+    const KnnResult with = ingest.Search(q, spec, &explain);
+    const KnnResult without = ingest.Search(q, spec, nullptr);
+    ASSERT_EQ(with.neighbors.size(), without.neighbors.size());
+    ASSERT_GE(with.neighbors.size(), 5u);
+    for (size_t i = 0; i < with.neighbors.size(); ++i)
+      EXPECT_EQ(with.neighbors[i].second, without.neighbors[i].second);
 
-  ASSERT_GE(explain.parts.size(), 2u);  // sealed generation(s) + memtable
-  ExpectPartsSumToTotal(explain);
-  EXPECT_NE(explain.epoch_seq, 0u);
+    ASSERT_GE(explain.parts.size(), 2u);  // sealed generation(s) + memtable
+    ExpectPartsSumToTotal(explain);
+    EXPECT_TRUE(explain.counters == with.counters);
+    EXPECT_NE(explain.epoch_seq, 0u);
+  }
+}
+
+// A slow range request served from a live corpus must log where its work
+// went: the batch path hands each query's explain sink to the controller,
+// which attributes the counters to main, minor and memtable.
+TEST(ExplainTest, IngestRangeBatchExplainCoversEveryGeneration) {
+  const Dataset ds = SmallDataset();
+  IngestOptions opt;
+  opt.memtable_max = 16;
+  IngestController ingest(Method::kSapla, 12, IndexKind::kDbchTree,
+                          ds.length(), opt);
+  // 32 inserts seal two minors, compacted into the main generation; 28
+  // more seal one minor and leave 12 in the memtable.
+  for (size_t i = 0; i < 32; ++i)
+    ASSERT_TRUE(ingest.Insert(ds.series[i].values).ok());
+  ASSERT_TRUE(ingest.Compact().ok());
+  for (size_t i = 32; i < 60; ++i)
+    ASSERT_TRUE(ingest.Insert(ds.series[i].values).ok());
+  const auto stats = ingest.GetEpochStats();
+  ASSERT_GT(stats.main_entries, 0u);
+  ASSERT_EQ(stats.minor_generations, 1u);
+  ASSERT_GT(stats.memtable_entries, 0u);
+
+  const std::vector<std::vector<double>> queries = {ds.series[5].values,
+                                                    ds.series[40].values,
+                                                    ds.series[58].values};
+  std::vector<obs::QueryExplain> explains(queries.size());
+  SearchIndex::BatchOptions options;
+  options.explain_of = [&](size_t i) { return &explains[i]; };
+  const std::vector<KnnResult> results =
+      ingest.RangeSearchBatch(queries, 9.0, options);
+  ASSERT_EQ(results.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    EXPECT_GE(results[i].counters.lb_evaluations, 1u);
+    std::set<std::string> parts;
+    for (const obs::ShardExplain& part : explains[i].parts)
+      parts.insert(part.part);
+    EXPECT_EQ(parts, (std::set<std::string>{"main", "minor0", "memtable"}));
+    ExpectPartsSumToTotal(explains[i]);
+    EXPECT_TRUE(explains[i].counters == results[i].counters);
+    EXPECT_EQ(explains[i].epoch_seq, stats.seq);
+  }
 }
 
 TEST(ExplainTest, ExplainJsonCarriesThePartBreakdown) {
@@ -165,6 +220,10 @@ TEST(ExplainTest, SampledServeRequestStitchesOneTraceTree) {
 
   obs::SetTraceEnabled(true);
   const ServeResponse response = client.Knn(ds.series[11].values, 4);
+  // The losing attempt may still be running; let it finish, so every span
+  // it opened is recorded before tracing stops and no recorded child is
+  // left pointing at a parent that closed afterwards.
+  service.Stop();
   obs::SetTraceEnabled(false);
   ASSERT_TRUE(response.status.ok());
   ASSERT_NE(response.trace_id, 0u);

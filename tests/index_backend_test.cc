@@ -1,12 +1,7 @@
-// Tests for the named index-backend registry (index/index_backend.h):
-// built-in resolution, and the actionable InvalidArgument errors for the
-// "isax" stub and for unknown names — both must list every registered
-// backend so a caller can correct the request.
+// Tests for the index-backend factory (index/index_backend.h): every
+// IndexKind resolves to the backend of that name.
 
 #include "index/index_backend.h"
-
-#include <algorithm>
-#include <string>
 
 #include <gtest/gtest.h>
 
@@ -16,74 +11,22 @@
 namespace sapla {
 namespace {
 
-class IndexBackendRegistry : public ::testing::Test {
- protected:
-  void SetUp() override {
-    SyntheticOptions opt;
-    opt.length = 64;
-    opt.num_series = 10;
-    ds_ = MakeSyntheticDataset(3, opt);
-    const auto reducer = MakeReducer(Method::kPaa);
-    for (const TimeSeries& ts : ds_.series)
-      reps_.push_back(reducer->Reduce(ts.values, 8));
-    ctx_.method = Method::kPaa;
-    ctx_.m = 8;
-    ctx_.dataset = &ds_;
-    ctx_.reps = &reps_;
+TEST(IndexBackendRegistry, BuiltInsResolveByName) {
+  SyntheticOptions opt;
+  opt.length = 64;
+  opt.num_series = 10;
+  const Dataset ds = MakeSyntheticDataset(3, opt);
+  RepresentationStore store;
+  const auto reducer = MakeReducer(Method::kPaa);
+  for (const TimeSeries& ts : ds.series)
+    reducer->ReduceInto(ts.values, 8, &store);
+  for (const IndexKind kind : {IndexKind::kRTree, IndexKind::kDbchTree}) {
+    auto backend = MakeIndexBackend(kind, {Method::kPaa, 8, &ds, &store, {}});
+    ASSERT_NE(backend, nullptr);
+    EXPECT_EQ(backend->name(), IndexKindName(kind));
+    for (size_t i = 0; i < ds.size(); ++i) backend->Insert(i);
+    EXPECT_EQ(backend->ComputeStats().entries, ds.size());
   }
-
-  Dataset ds_;
-  std::vector<Representation> reps_;
-  IndexBackendContext ctx_;
-};
-
-TEST_F(IndexBackendRegistry, BuiltInsResolveByName) {
-  for (const std::string name : {"rtree", "dbch"}) {
-    auto backend = MakeIndexBackendByName(name, ctx_);
-    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-    EXPECT_EQ((*backend)->name(), name);
-  }
-}
-
-TEST_F(IndexBackendRegistry, NamesAreSortedAndIncludeTheStub) {
-  const std::vector<std::string> names = IndexBackendNames();
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  for (const std::string expected : {"dbch", "isax", "rtree"})
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-}
-
-TEST_F(IndexBackendRegistry, StubReturnsInvalidArgumentListingBackends) {
-  const auto result = MakeIndexBackendByName("isax", ctx_);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  const std::string& msg = result.status().message();
-  EXPECT_NE(msg.find("\"isax\""), std::string::npos) << msg;
-  EXPECT_NE(msg.find("stub"), std::string::npos) << msg;
-  // Every registered backend is listed, so the error is actionable.
-  for (const std::string& name : IndexBackendNames())
-    EXPECT_NE(msg.find("\"" + name + "\""), std::string::npos) << msg;
-}
-
-TEST_F(IndexBackendRegistry, UnknownNameReturnsInvalidArgumentListingBackends) {
-  const auto result = MakeIndexBackendByName("btree", ctx_);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  const std::string& msg = result.status().message();
-  EXPECT_NE(msg.find("unknown index backend \"btree\""), std::string::npos)
-      << msg;
-  for (const std::string& name : IndexBackendNames())
-    EXPECT_NE(msg.find("\"" + name + "\""), std::string::npos) << msg;
-}
-
-TEST_F(IndexBackendRegistry, RegisteredFactoryResolvesAndCanBeStubbed) {
-  RegisterIndexBackend("custom-test-backend",
-                       [](const IndexBackendContext& ctx) {
-                         return MakeIndexBackend(IndexKind::kRTree, ctx);
-                       });
-  auto backend = MakeIndexBackendByName("custom-test-backend", ctx_);
-  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-  EXPECT_EQ((*backend)->name(), "rtree");
 }
 
 }  // namespace

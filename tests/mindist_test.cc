@@ -142,13 +142,14 @@ TEST_P(FeatureMapSweep, BoxDistLowerBoundsMemberDist) {
   const FeatureMapper mapper(method, m, n);
 
   // Build a node MBR over a handful of member feature boxes.
-  std::vector<Representation> reps;
+  RepresentationStore store;
   std::vector<std::vector<double>> raws;
   std::vector<double> lo, hi;
   for (uint64_t seed = 0; seed < 6; ++seed) {
     raws.push_back(ZNormSeries(seed + 300, n));
-    reps.push_back(reducer->Reduce(raws.back(), m));
-    const FeatureMapper::Box box = mapper.MapBox(reps.back(), raws.back());
+    reducer->ReduceInto(raws.back(), m, &store);
+    const FeatureMapper::Box box =
+        mapper.MapBox(store.view(store.size() - 1), raws.back());
     if (lo.empty()) {
       lo = box.lo;
       hi = box.hi;
@@ -162,8 +163,9 @@ TEST_P(FeatureMapSweep, BoxDistLowerBoundsMemberDist) {
 
   for (uint64_t qseed = 900; qseed < 910; ++qseed) {
     const std::vector<double> q = ZNormSeries(qseed, n);
-    const Representation qr = reducer->Reduce(q, m);
-    const double box_dist = mapper.MinDist(q, qr, lo, hi);
+    RepresentationStore query_store;
+    reducer->ReduceInto(q, m, &query_store);
+    const double box_dist = mapper.MinDist(q, query_store.view(0), lo, hi);
     EXPECT_GE(box_dist, 0.0);
     for (size_t i = 0; i < raws.size(); ++i) {
       // Box distance must not exceed the true distance to any member.

@@ -1,5 +1,5 @@
-// RepresentationStore / RepView: layout equivalence, converter
-// losslessness, and the randomized segment-geometry property test.
+// RepresentationStore / RepView: converter losslessness, the randomized
+// segment-geometry property test, and the store as the index's corpus.
 
 #include "reduction/representation_store.h"
 
@@ -7,6 +7,7 @@
 
 #include "core/sapla.h"
 #include "reduction/representation.h"
+#include "search/knn.h"
 #include "ts/synthetic_archive.h"
 #include "util/rng.h"
 
@@ -54,15 +55,13 @@ void ExpectSameGeometry(const Representation& rep, const RepView& view) {
 }
 
 TEST(RepView, MatchesRepresentationGeometryOnRandomSegmentations) {
-  // Satellite property test: for randomized segmentations, the AoS view,
-  // the store-backed SoA view and the Representation must agree on every
-  // derived quantity (start / length / fields), for every segment.
+  // Property test: for randomized segmentations, the store-backed view and
+  // the Representation must agree on every derived quantity (start /
+  // length / fields), for every segment.
   Rng rng(42);
   for (int trial = 0; trial < 200; ++trial) {
     const size_t n = 2 + rng.UniformInt(300);
     const Representation rep = RandomSegmentation(rng, n);
-    ExpectSameGeometry(rep, RepView::Of(rep));
-
     RepresentationStore store;
     const size_t id = store.Append(rep);
     ExpectSameGeometry(rep, store.view(id));
@@ -215,6 +214,28 @@ TEST(RepresentationStore, AppendReturnsSequentialIds) {
   for (size_t i = 0; i < ds.size(); ++i) {
     EXPECT_EQ(store.Append(SaplaReducer().Reduce(ds.series[i].values, 12)), i);
   }
+}
+
+// The columnar store is the index's corpus: after Build it holds one entry
+// per series.
+TEST(StoreCorpus, StoreHoldsEveryReduction) {
+  const Dataset ds = SmallDataset();
+  SimilarityIndex index(Method::kSapla, 12, IndexKind::kDbchTree);
+  ASSERT_TRUE(index.Build(ds).ok());
+  EXPECT_EQ(index.store().size(), ds.size());
+  EXPECT_EQ(index.store().method(), Method::kSapla);
+  EXPECT_EQ(index.store().series_length(), ds.length());
+  EXPECT_EQ(index.corpus_id(), index.store().id());
+}
+
+// Rebuilds must change the corpus id (the serve result cache keys on it).
+TEST(StoreCorpus, RebuildChangesCorpusId) {
+  const Dataset ds = SmallDataset();
+  SimilarityIndex index(Method::kSapla, 12, IndexKind::kRTree);
+  ASSERT_TRUE(index.Build(ds).ok());
+  const uint64_t first = index.corpus_id();
+  ASSERT_TRUE(index.Build(ds).ok());
+  EXPECT_NE(index.corpus_id(), first);
 }
 
 }  // namespace

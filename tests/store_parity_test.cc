@@ -1,18 +1,22 @@
-// Columnar-vs-legacy corpus parity: a SimilarityIndex over the
-// RepresentationStore must answer every query bit-identically to one built
-// with Options::legacy_aos_corpus (the pre-columnar
-// std::vector<Representation> layout) — same neighbor ids and distances,
-// same num_measured, equal SearchCounters, same tree shape — for every
-// Method x IndexKind, serially and batched at 1/2/8 threads. This is the
-// acceptance contract of the columnar refactor: the layout change is
-// invisible to every caller.
+// Store-view search vs. the per-Representation oracle: a SimilarityIndex
+// over its columnar RepresentationStore must answer every query
+// bit-identically to a reference that drives the same tree traversal but
+// filters each leaf entry with the per-pair Representation kernel
+// (FilterDistance, distance/mindist.h) over independently reduced series —
+// same neighbor ids and distances, same num_measured, equal SearchCounters
+// — for every Method x IndexKind, serially and batched at 1/2/8 threads,
+// for k-NN, range and both lower-bound-only answers.
 
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "distance/mindist.h"
+#include "geom/line_fit.h"
 #include "search/knn.h"
 #include "ts/synthetic_archive.h"
 
@@ -36,17 +40,17 @@ std::vector<std::vector<double>> SomeQueries(const Dataset& ds) {
   return queries;
 }
 
-void ExpectIdentical(const KnnResult& columnar, const KnnResult& legacy,
+void ExpectIdentical(const KnnResult& got, const KnnResult& want,
                      const std::string& label) {
-  ASSERT_EQ(columnar.neighbors.size(), legacy.neighbors.size()) << label;
-  for (size_t i = 0; i < columnar.neighbors.size(); ++i) {
-    EXPECT_EQ(columnar.neighbors[i].second, legacy.neighbors[i].second)
+  ASSERT_EQ(got.neighbors.size(), want.neighbors.size()) << label;
+  for (size_t i = 0; i < got.neighbors.size(); ++i) {
+    EXPECT_EQ(got.neighbors[i].second, want.neighbors[i].second)
         << label << " rank " << i;
-    EXPECT_EQ(columnar.neighbors[i].first, legacy.neighbors[i].first)
+    EXPECT_EQ(got.neighbors[i].first, want.neighbors[i].first)
         << label << " rank " << i;
   }
-  EXPECT_EQ(columnar.num_measured, legacy.num_measured) << label;
-  EXPECT_TRUE(columnar.counters == legacy.counters) << label;
+  EXPECT_EQ(got.num_measured, want.num_measured) << label;
+  EXPECT_TRUE(got.counters == want.counters) << label;
 }
 
 struct ParityCase {
@@ -59,13 +63,67 @@ class ParitySweep : public ::testing::TestWithParam<ParityCase> {
   void Build() {
     ds_ = SmallDataset();
     const auto [method, kind] = GetParam();
-    columnar_ = std::make_unique<SimilarityIndex>(method, kBudget, kind);
-    SimilarityIndex::Options legacy_options;
-    legacy_options.legacy_aos_corpus = true;
-    legacy_ =
-        std::make_unique<SimilarityIndex>(method, kBudget, kind, legacy_options);
-    ASSERT_TRUE(columnar_->Build(ds_).ok()) << MethodName(method);
-    ASSERT_TRUE(legacy_->Build(ds_).ok()) << MethodName(method);
+    index_ = std::make_unique<SimilarityIndex>(method, kBudget, kind);
+    ASSERT_TRUE(index_->Build(ds_).ok()) << MethodName(method);
+    reducer_ = MakeReducer(method);
+    for (const TimeSeries& ts : ds_.series)
+      reps_.push_back(reducer_->Reduce(ts.values, kBudget));
+  }
+
+  // The oracle answer: the index's own tree traversal for node bounds, and
+  // the per-Representation FilterDistance for every leaf entry.
+  KnnResult Reference(const std::vector<double>& q,
+                      const QuerySpec& spec) const {
+    const PrefixFitter fitter(q);
+    const Representation qrep = reducer_->Reduce(q, kBudget);
+    KnnResult r;
+    SearchCounters& c = r.counters;
+    std::set<std::pair<double, size_t>> found;
+    const auto keep = [&](double dist, size_t id) {
+      if (!spec.knn() && !(dist <= spec.radius)) return;
+      found.emplace(dist, id);
+      if (spec.knn() && found.size() > spec.k) found.erase(--found.end());
+    };
+    const auto bound = [&] {
+      if (!spec.knn()) return spec.radius;
+      return found.size() < spec.k ? std::numeric_limits<double>::infinity()
+                                   : found.rbegin()->first;
+    };
+    if (spec.lower_bound) {
+      for (size_t id = 0; id < ds_.size(); ++id) {
+        ++c.lb_evaluations;
+        keep(FilterDistance(fitter, qrep, reps_[id]), id);
+      }
+    } else {
+      RepresentationStore query_store;
+      reducer_->ReduceInto(q, kBudget, &query_store);
+      index_->backend()->BestFirstSearch(
+          q, query_store.view(0),
+          [&](size_t id, double) {
+            const double lb = FilterDistance(fitter, qrep, reps_[id]);
+            ++c.lb_evaluations;
+            if (lb <= bound()) {
+              const double exact = EuclideanDistance(q, ds_.series[id].values);
+              ++c.exact_evaluations;
+              if (exact > 0.0) {
+                c.lb_tightness_sum += lb / exact;
+                ++c.lb_tightness_count;
+              }
+              keep(exact, id);
+            } else {
+              ++c.entries_pruned_leaf;
+            }
+            return bound();
+          },
+          &c);
+    }
+    c.entries_pruned_node = ds_.size() - c.lb_evaluations;
+    c.cascade_stage = c.exact_evaluations > 0 ? CascadeStage::kExact
+                      : c.lb_evaluations > 0  ? CascadeStage::kLeafFilter
+                                              : CascadeStage::kNodePrune;
+    r.num_measured = c.exact_evaluations;
+    r.neighbors.assign(found.begin(), found.end());
+    return r;
   }
 
   std::string Label(const char* op) const {
@@ -73,13 +131,18 @@ class ParitySweep : public ::testing::TestWithParam<ParityCase> {
   }
 
   Dataset ds_;
-  std::unique_ptr<SimilarityIndex> columnar_, legacy_;
+  std::unique_ptr<SimilarityIndex> index_;
+  std::unique_ptr<Reducer> reducer_;
+  std::vector<Representation> reps_;
 };
 
+// Warm restart re-inserts the stored corpus in id order: the same tree.
 TEST_P(ParitySweep, TreesAreStructurallyIdentical) {
   Build();
-  const TreeStats a = columnar_->stats();
-  const TreeStats b = legacy_->stats();
+  SimilarityIndex restored(GetParam().method, kBudget, GetParam().kind);
+  ASSERT_TRUE(restored.RestoreFromStore(ds_, index_->store()).ok());
+  const TreeStats a = index_->stats();
+  const TreeStats b = restored.stats();
   EXPECT_EQ(a.entries, b.entries);
   EXPECT_EQ(a.height, b.height);
   EXPECT_EQ(a.leaf_nodes, b.leaf_nodes);
@@ -89,19 +152,18 @@ TEST_P(ParitySweep, TreesAreStructurallyIdentical) {
 TEST_P(ParitySweep, KnnIsBitIdentical) {
   Build();
   for (const std::vector<double>& q : SomeQueries(ds_))
-    ExpectIdentical(columnar_->Knn(q, 6), legacy_->Knn(q, 6), Label("knn"));
+    ExpectIdentical(index_->Knn(q, 6), Reference(q, QuerySpec::Knn(6)),
+                    Label("knn"));
 }
 
 TEST_P(ParitySweep, KnnBatchIsBitIdenticalAtEveryThreadCount) {
   Build();
   const auto queries = SomeQueries(ds_);
-  const std::vector<KnnResult> legacy = legacy_->KnnBatch(queries, 6, 1);
   for (const size_t threads : kThreadCounts) {
-    const std::vector<KnnResult> batch =
-        columnar_->KnnBatch(queries, 6, threads);
-    ASSERT_EQ(batch.size(), legacy.size());
+    const std::vector<KnnResult> batch = index_->KnnBatch(queries, 6, threads);
+    ASSERT_EQ(batch.size(), queries.size());
     for (size_t q = 0; q < queries.size(); ++q)
-      ExpectIdentical(batch[q], legacy[q],
+      ExpectIdentical(batch[q], Reference(queries[q], QuerySpec::Knn(6)),
                       Label("knn-batch") + " q" + std::to_string(q) +
                           " threads " + std::to_string(threads));
   }
@@ -111,21 +173,19 @@ TEST_P(ParitySweep, RangeSearchIsBitIdentical) {
   Build();
   for (const double radius : {4.0, 9.0, 100.0})
     for (const std::vector<double>& q : SomeQueries(ds_))
-      ExpectIdentical(columnar_->RangeSearch(q, radius),
-                      legacy_->RangeSearch(q, radius), Label("range"));
+      ExpectIdentical(index_->RangeSearch(q, radius),
+                      Reference(q, QuerySpec::Range(radius)), Label("range"));
 }
 
 TEST_P(ParitySweep, RangeSearchBatchIsBitIdenticalAtEveryThreadCount) {
   Build();
   const double radius = 9.0;
   const auto queries = SomeQueries(ds_);
-  const std::vector<KnnResult> legacy =
-      legacy_->RangeSearchBatch(queries, radius, 1);
   for (const size_t threads : kThreadCounts) {
     const std::vector<KnnResult> batch =
-        columnar_->RangeSearchBatch(queries, radius, threads);
+        index_->RangeSearchBatch(queries, radius, threads);
     for (size_t q = 0; q < queries.size(); ++q)
-      ExpectIdentical(batch[q], legacy[q],
+      ExpectIdentical(batch[q], Reference(queries[q], QuerySpec::Range(radius)),
                       Label("range-batch") + " q" + std::to_string(q) +
                           " threads " + std::to_string(threads));
   }
@@ -134,10 +194,11 @@ TEST_P(ParitySweep, RangeSearchBatchIsBitIdenticalAtEveryThreadCount) {
 TEST_P(ParitySweep, LowerBoundPathsAreBitIdentical) {
   Build();
   for (const std::vector<double>& q : SomeQueries(ds_)) {
-    ExpectIdentical(columnar_->KnnLowerBound(q, 6), legacy_->KnnLowerBound(q, 6),
-                    Label("knn-lb"));
-    ExpectIdentical(columnar_->RangeSearchLowerBound(q, 9.0),
-                    legacy_->RangeSearchLowerBound(q, 9.0), Label("range-lb"));
+    ExpectIdentical(index_->KnnLowerBound(q, 6),
+                    Reference(q, QuerySpec::Knn(6, true)), Label("knn-lb"));
+    ExpectIdentical(index_->RangeSearchLowerBound(q, 9.0),
+                    Reference(q, QuerySpec::Range(9.0, true)),
+                    Label("range-lb"));
   }
 }
 
@@ -155,29 +216,6 @@ INSTANTIATE_TEST_SUITE_P(
       return MethodName(info.param.method) +
              (info.param.kind == IndexKind::kRTree ? "_RTree" : "_DbchTree");
     });
-
-// The columnar store is the canonical corpus: after Build it holds one
-// entry per series and round-trips each back to the reduction the legacy
-// path stores.
-TEST(StoreCorpus, StoreHoldsEveryReduction) {
-  const Dataset ds = SmallDataset(23, 96, 30);
-  SimilarityIndex index(Method::kSapla, kBudget, IndexKind::kDbchTree);
-  ASSERT_TRUE(index.Build(ds).ok());
-  EXPECT_EQ(index.store().size(), ds.size());
-  EXPECT_EQ(index.store().method(), Method::kSapla);
-  EXPECT_EQ(index.store().series_length(), ds.length());
-  EXPECT_EQ(index.corpus_id(), index.store().id());
-}
-
-// Rebuilds must change the corpus id (the serve result cache keys on it).
-TEST(StoreCorpus, RebuildChangesCorpusId) {
-  const Dataset ds = SmallDataset(24, 96, 30);
-  SimilarityIndex index(Method::kSapla, kBudget, IndexKind::kRTree);
-  ASSERT_TRUE(index.Build(ds).ok());
-  const uint64_t first = index.corpus_id();
-  ASSERT_TRUE(index.Build(ds).ok());
-  EXPECT_NE(index.corpus_id(), first);
-}
 
 }  // namespace
 }  // namespace sapla

@@ -52,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,6 +73,30 @@
 
 namespace sapla {
 namespace {
+
+// Every file the harness writes lives in one directory that mkdtemp
+// creates under $TMPDIR (default /tmp) on first use; it is removed, with
+// everything in it, when the process exits.
+std::string WorkPath(const std::string& name) {
+  // Heap-allocated and never freed, so the exit hook can still read it
+  // after static destructors have run.
+  static const std::string* const dir = [] {
+    const char* base = std::getenv("TMPDIR");
+    std::string templ =
+        std::string(base != nullptr && *base != '\0' ? base : "/tmp") +
+        "/sapla_chaos_XXXXXX";
+    if (::mkdtemp(templ.data()) == nullptr) {
+      std::perror(("mkdtemp " + templ).c_str());
+      std::exit(1);
+    }
+    std::atexit([] {
+      std::error_code ec;
+      std::filesystem::remove_all(*dir, ec);
+    });
+    return new std::string(templ);
+  }();
+  return *dir + "/" + name;
+}
 
 struct Config {
   uint64_t seed = 42;
@@ -316,7 +341,7 @@ void RunIoCase(const Config& config, const Dataset& ds,
   for (const TimeSeries& ts : ds.series)
     reducer->ReduceInto(ts.values, config.m, &store);
 
-  const std::string path = "/tmp/sapla_chaos_store.bin";
+  const std::string path = WorkPath("store.bin");
   std::remove(path.c_str());
   fault::Disable();
   if (const Status st = SaveRepresentationStore(path, store); !st.ok()) {
@@ -371,7 +396,7 @@ void RunShardCase(const Config& config, const Dataset& ds,
     violations->Report("sharded build failed: " + st.ToString());
     return;
   }
-  const std::string prefix = "/tmp/sapla_chaos_shard";
+  const std::string prefix = WorkPath("shard");
   SnapshotWriteOptions write_options;
   if (config.compressed_snapshots) {
     // Lossy quantized columns: restores below must still answer exactly,
@@ -546,7 +571,7 @@ void RunShardCase(const Config& config, const Dataset& ds,
 void RunIngestCase(const Config& config, const Dataset& ds,
                    Violations* violations) {
   fault::Disable();
-  const std::string dir = "/tmp/sapla_chaos_ingest";
+  const std::string dir = WorkPath("ingest");
   ::mkdir(dir.c_str(), 0755);
   const auto scrub = [&] {
     std::remove((dir + "/wal.log").c_str());
@@ -892,7 +917,7 @@ void RunDiskFullCase(const Config& config, const Dataset& ds,
     RepresentationStore store;
     for (const TimeSeries& ts : ds.series)
       reducer->ReduceInto(ts.values, config.m, &store);
-    const std::string path = "/tmp/sapla_chaos_diskfull_store.bin";
+    const std::string path = WorkPath("diskfull_store.bin");
     std::remove(path.c_str());
     if (const Status st = SaveRepresentationStore(path, store); !st.ok()) {
       violations->Report("disk-full: fault-free save failed: " +
@@ -926,7 +951,7 @@ void RunDiskFullCase(const Config& config, const Dataset& ds,
 
   // Durable ingest with the disk intermittently "full": acked <=> logged
   // must hold through every kill/recover, exactly as in the ingest phase.
-  const std::string dir = "/tmp/sapla_chaos_diskfull";
+  const std::string dir = WorkPath("diskfull");
   ::mkdir(dir.c_str(), 0755);
   const auto scrub = [&] {
     std::remove((dir + "/wal.log").c_str());
